@@ -236,8 +236,8 @@ addWorkloadSourceOptions(ArgParser &parser)
 /**
  * The workload list a command should run: --workload-file and/or
  * --workload-dir when given (combined, duplicate names rejected),
- * otherwise the suite registry (committed specs/ or the compiled
- * table — see spec_suite.h).
+ * otherwise the suite registry (MTPERF_SPEC_DIR or the embedded
+ * specs — see spec_suite.h).
  */
 std::vector<workload::WorkloadSpec>
 suiteFromFlags(const ArgParser &parser)
@@ -1233,7 +1233,7 @@ cmdValidate(const std::vector<std::string> &args, std::ostream &out)
                      "CRC-sealed)");
     parser.addString("oracle-dir", "",
                      "directory of oracle workload specs (default: "
-                     "specs/oracle/, else the compiled-in suite)");
+                     "the specs/oracle/ suite built into the binary)");
     parser.addString("inject-counter-bug", "",
                      "test hook: double the named counter after "
                      "simulation to rehearse an accounting bug");

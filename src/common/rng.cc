@@ -155,12 +155,6 @@ Rng::geometric(double p)
     return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
 }
 
-std::uint64_t
-Rng::zipf(std::uint64_t n, double s)
-{
-    return ZipfSampler(n, s).sample(*this);
-}
-
 namespace {
 
 // Rejection-inversion sampling (Hormann & Derflinger 1996). The

@@ -74,14 +74,6 @@ class Rng
      */
     std::uint64_t geometric(double p);
 
-    /**
-     * Zipf-distributed integer in [0, n) with exponent @p s, drawn by
-     * inversion over a precomputed CDF would be per-call expensive, so
-     * this uses rejection-inversion (Hormann & Derflinger) which is
-     * O(1) per draw.
-     */
-    std::uint64_t zipf(std::uint64_t n, double s);
-
     /** Fisher-Yates shuffle of @p v. */
     template <typename T>
     void
@@ -100,14 +92,13 @@ class Rng
 };
 
 /**
- * A Zipf(n, s) sampler with the rejection-inversion constants
- * precomputed at construction. Rng::zipf(n, s) recomputes four
- * transcendental constants on every draw; callers that sample the
- * same distribution repeatedly (the workload generator draws millions
- * of addresses per section from fixed footprints) construct one of
- * these per (n, s) instead. sample() consumes the same uniform stream
- * and produces bit-identical values to Rng::zipf — Rng::zipf is
- * implemented on top of it.
+ * A Zipf(n, s) sampler: integers in [0, n) with exponent s, drawn by
+ * rejection-inversion (Hormann & Derflinger), which is O(1) per draw
+ * where inversion over a CDF would not be. The four transcendental
+ * constants are precomputed at construction, so callers that sample
+ * the same distribution repeatedly (the workload generator draws
+ * millions of addresses per section from fixed footprints) construct
+ * one per (n, s).
  */
 class ZipfSampler
 {

@@ -18,8 +18,8 @@
  *
  * The model lives in the ml layer (it is a learner, and the
  * RegressorFactory registry must construct it) but keeps its
- * historical mtperf::perf namespace; src/perf/first_order_model.h
- * forwards here. Its uarch dependencies are header-only configs.
+ * historical mtperf::perf namespace. Its uarch dependencies are
+ * header-only configs.
  */
 
 #ifndef MTPERF_ML_BASELINE_FIRST_ORDER_MODEL_H_

@@ -5,10 +5,10 @@
 #include <sstream>
 
 #include "common/atomic_file.h"
-#include "common/checksum.h"
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/sealed_json.h"
 #include "common/strings.h"
 #include "obs/thread_info.h"
 
@@ -18,7 +18,6 @@ namespace {
 
 constexpr const char *kVersionKey = "mtperf_timeseries";
 constexpr std::uint64_t kVersion = 1;
-constexpr const char *kCrcPrefix = ",\"crc32\":";
 
 void
 appendString(std::ostream &os, const std::string &text)
@@ -252,12 +251,7 @@ TimeseriesSampler::toJson() const
         os << "}}";
     }
     os << "]";
-    std::string body = os.str();
-    const std::uint32_t crc = crc32(body);
-    body += kCrcPrefix;
-    body += std::to_string(crc);
-    body += '}';
-    return body;
+    return sealJson(os.str());
 }
 
 void
@@ -305,24 +299,14 @@ uintMember(const json::JsonValue &object, const char *key,
 ParsedTimeseries
 parseTimeseries(std::string_view text, const std::string &source)
 {
-    const std::size_t seal = text.rfind(kCrcPrefix);
-    if (seal == std::string_view::npos)
-        badTimeseries(source, "missing crc32 seal");
-    const std::string_view sealed = text.substr(0, seal);
-
     json::JsonValue root;
     try {
-        root = json::parseJson(text, source);
+        root = parseSealedJson(text, source);
     } catch (const FatalError &e) {
         badTimeseries(source, e.what());
     }
-    if (!root.isObject())
-        badTimeseries(source, "document must be an object");
     if (uintMember(root, kVersionKey, source) != kVersion)
         badTimeseries(source, "unsupported timeseries version");
-    const std::uint64_t declared = uintMember(root, "crc32", source);
-    if (declared != crc32(sealed))
-        badTimeseries(source, "crc32 seal mismatch (corrupt document)");
 
     ParsedTimeseries parsed;
     parsed.intervalMs = uintMember(root, "interval_ms", source);

@@ -7,17 +7,15 @@
 #include <sstream>
 
 #include "common/atomic_file.h"
-#include "common/checksum.h"
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/sealed_json.h"
 #include "common/strings.h"
 
 namespace mtperf::perf {
 
 namespace {
-
-constexpr const char *kCrcPrefix = ",\"crc32\":";
 
 bool
 endsWith(const std::string &text, std::string_view suffix)
@@ -367,12 +365,7 @@ benchDiffToJson(const BenchDiffReport &report)
     }
     os << "],\"regressions\":" << report.regressions()
        << ",\"pass\":" << (report.pass() ? "true" : "false");
-    std::string body = os.str();
-    const std::uint32_t crc = crc32(body);
-    body += kCrcPrefix;
-    body += std::to_string(crc);
-    body += "}";
-    return body;
+    return sealJson(os.str());
 }
 
 void

@@ -27,8 +27,9 @@
  * symmetric relative band (|change| <= frac).
  *
  * The verdict serializes as a canonical CRC-sealed JSON document
- * (same seal idiom as validate/report and obs/timeseries) so CI can
- * archive it and later runs can trust its bytes.
+ * (common/sealed_json.h, shared with validate/report and
+ * obs/timeseries) so CI can archive it and later runs can trust its
+ * bytes.
  */
 
 #ifndef MTPERF_PERF_BENCHDIFF_H_

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdlib>
-#include <filesystem>
 #include <optional>
 #include <sstream>
 #include <vector>
@@ -22,58 +20,6 @@
 namespace mtperf::validate {
 
 namespace {
-
-namespace fs = std::filesystem;
-
-/** Configure-time default: the source tree's specs/oracle/. */
-std::string
-defaultOracleDir()
-{
-#ifdef MTPERF_ORACLE_DIR
-    return MTPERF_ORACLE_DIR;
-#else
-    return "";
-#endif
-}
-
-/** Does @p dir exist and hold at least one *.json file? */
-bool
-hasSpecFiles(const std::string &dir)
-{
-    std::error_code ec;
-    if (dir.empty() || !fs::is_directory(dir, ec))
-        return false;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file() &&
-            entry.path().extension() == ".json")
-            return true;
-    }
-    return false;
-}
-
-/**
- * Resolve the oracle suite the same way the workload registry
- * resolves the main suite: an explicit directory wins, then the
- * MTPERF_ORACLE_DIR environment variable ("" or "builtin" forces the
- * compiled table), then the baked-in source-tree directory when it
- * actually holds specs, then the compiled suite.
- */
-std::vector<workload::WorkloadSpec>
-resolveOracleSuite(const std::string &explicit_dir)
-{
-    if (!explicit_dir.empty())
-        return workload::loadWorkloadSpecDir(explicit_dir);
-    if (const char *env = std::getenv("MTPERF_ORACLE_DIR")) {
-        const std::string dir(env);
-        if (dir.empty() || dir == "builtin")
-            return builtinOracleSuite();
-        return workload::loadWorkloadSpecDir(dir);
-    }
-    const std::string dir = defaultOracleDir();
-    if (hasSpecFiles(dir))
-        return workload::loadWorkloadSpecDir(dir);
-    return builtinOracleSuite();
-}
 
 void
 registerValidateInvariant()
@@ -164,11 +110,11 @@ validateWorkload(const workload::WorkloadSpec &spec,
 }
 
 /**
- * Co-run the built-in chase pair on a two-core shared L2 and check
- * both lanes against chasePairBounds(). The solo families pin the
- * contention counters at zero; this is the only place they must be
- * nonzero, so a shared L2 that stops attributing interference (or
- * double-counts it) fails here and nowhere else.
+ * Co-run the chase pair on a two-core shared L2 and check both lanes
+ * against chasePairBounds(). The solo families pin the contention
+ * counters at zero; this is the only place they must be nonzero, so a
+ * shared L2 that stops attributing interference (or double-counts it)
+ * fails here and nowhere else.
  */
 std::vector<WorkloadValidation>
 validateChasePair(const ValidateOptions &options)
@@ -221,7 +167,9 @@ runValidation(const ValidateOptions &options)
                          options.injectCounterBug + "'");
     }
     const std::vector<workload::WorkloadSpec> suite =
-        resolveOracleSuite(options.oracleDir);
+        options.oracleDir.empty()
+            ? workload::loadEmbeddedSpecs(workload::embeddedOracleSpecs())
+            : workload::loadWorkloadSpecDir(options.oracleDir);
     if (suite.empty())
         mtperf_fatal("oracle suite is empty");
     // Classify (and thereby reject unanalyzable specs) up front so a

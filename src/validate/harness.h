@@ -2,14 +2,12 @@
  * @file
  * The counter-validation harness behind `mtperf validate`.
  *
- * Runs every oracle workload (specs/oracle/ on disk, or the compiled
- * builtinOracleSuite() fallback — resolution mirrors the workload
- * registry: MTPERF_ORACLE_DIR in the environment wins, "builtin"
- * forces the compiled table), simulates it on one Core per workload,
- * and asserts all kNumEventCounters fields against the analytic
- * bounds from validate/oracle.h. Workloads run via parallelFor with
- * index-addressed results, so the outcome is identical at any
- * --threads value.
+ * Runs every oracle workload (the --oracle-dir directory when given,
+ * else the copy of specs/oracle/ embedded at build time), simulates
+ * it on one Core per workload, and asserts all kNumEventCounters
+ * fields against the analytic bounds from validate/oracle.h.
+ * Workloads run via parallelFor with index-addressed results, so the
+ * outcome is identical at any --threads value.
  *
  * Observability: every comparison bumps validate.counters_checked and
  * one of validate.counters_passed / validate.counters_failed; an obs
@@ -37,9 +35,8 @@ struct ValidateOptions
     std::uint64_t seed = 42;
 
     /**
-     * Directory of oracle workload specs; empty resolves like the
-     * workload registry (MTPERF_ORACLE_DIR env, then the source
-     * tree's specs/oracle/, then the compiled-in suite).
+     * Directory of oracle workload specs; empty runs the embedded
+     * specs/oracle/ suite.
      */
     std::string oracleDir;
 

@@ -7,13 +7,13 @@
 #include "common/json.h"
 #include "common/logging.h"
 #include "uarch/types.h"
+#include "workload/spec_io.h"
 
 namespace mtperf::validate {
 
 using uarch::kLineBytes;
 using uarch::kPageBytes;
 using workload::PhaseParams;
-using workload::PhaseSpec;
 using workload::WorkloadSpec;
 
 namespace {
@@ -826,108 +826,28 @@ oracleChasePhase(workload::PhaseParams params)
     return params;
 }
 
-namespace {
-
-PhaseParams
-oracleBasePhase(const char *name)
-{
-    PhaseParams p;
-    p.name = name;
-    p.loadFrac = 0.0;
-    p.storeFrac = 0.0;
-    p.branchFrac = 0.0;
-    p.fpAddFrac = 0.0;
-    p.fpMulFrac = 0.0;
-    p.fpDivFrac = 0.0;
-    p.intMulFrac = 0.0;
-    p.workingSetBytes = 64 * 1024;
-    p.hotFrac = 0.0;
-    p.hotBytes = 16 * 1024;
-    p.pointerChaseFrac = 0.0;
-    p.chasePageLocalFrac = 0.0;
-    p.streamFrac = 0.0;
-    p.strideBytes = kLineBytes;
-    p.zipfS = 0.9;
-    p.branchEntropy = 0.0;
-    p.takenBias = 0.5;
-    p.codeFootprintBytes = 16 * 1024;
-    p.codeZipfS = 1.1;
-    p.farJumpFrac = 0.0;
-    p.depGeoP = 0.25;
-    p.depNoneFrac = 1.0;
-    p.lcpFrac = 0.0;
-    p.misalignedFrac = 0.0;
-    p.storeForwardFrac = 0.0;
-    p.storeForwardPartialFrac = 0.0;
-    p.storeAddrSlowFrac = 0.0;
-    return p;
-}
-
-WorkloadSpec
-oneOracle(const char *name, PhaseParams params)
-{
-    WorkloadSpec spec;
-    spec.name = name;
-    spec.phases.push_back(PhaseSpec{std::move(params), 1});
-    return spec;
-}
-
-} // namespace
-
-std::vector<WorkloadSpec>
-builtinOracleSuite()
-{
-    std::vector<WorkloadSpec> suite;
-
-    PhaseParams chase = oracleBasePhase("chase");
-    chase.loadFrac = 1.0;
-    chase.pointerChaseFrac = 1.0;
-    chase.workingSetBytes = 256ULL * 1024 * 1024;
-    suite.push_back(oneOracle("oracle_chase", chase));
-
-    PhaseParams lcp = oracleBasePhase("lcp");
-    lcp.lcpFrac = 1.0;
-    suite.push_back(oneOracle("oracle_lcp", lcp));
-
-    PhaseParams ladder = oracleBasePhase("ladder");
-    ladder.branchFrac = 1.0;
-    ladder.takenBias = 1.0;
-    ladder.farJumpFrac = 0.15;
-    suite.push_back(oneOracle("oracle_branch_ladder", ladder));
-
-    PhaseParams noise = oracleBasePhase("noise");
-    noise.branchFrac = 1.0;
-    noise.branchEntropy = 1.0;
-    noise.farJumpFrac = 0.15;
-    suite.push_back(oneOracle("oracle_branch_noise", noise));
-
-    PhaseParams stride = oracleBasePhase("stride");
-    stride.loadFrac = 1.0;
-    stride.streamFrac = 1.0;
-    stride.workingSetBytes = 64ULL * 1024 * 1024;
-    suite.push_back(oneOracle("oracle_stride", stride));
-
-    return suite;
-}
-
 std::vector<WorkloadSpec>
 builtinChasePair()
 {
+    const auto files = workload::embeddedOracleSpecs();
+    const auto chase = std::find_if(
+        files.begin(), files.end(),
+        [](const workload::EmbeddedSpec &f) {
+            return f.name == "oracle_chase";
+        });
+    mtperf_assert(chase != files.end(), "oracle_chase is embedded");
+
     // 3 MiB + 2.5 MiB over a 4 MiB shared L2: each lane is exactly at
     // or under the 3/4 fits-alone ceiling, and together they overflow
     // it at 5.5/4 — comfortably past the >= 5/4 precondition.
-    PhaseParams a = oracleBasePhase("chase");
-    a.loadFrac = 1.0;
-    a.pointerChaseFrac = 1.0;
-    a.workingSetBytes = 3ULL * 1024 * 1024;
+    WorkloadSpec a = workload::loadEmbeddedSpecs({&*chase, 1}).front();
+    a.name = "oracle_chase_pair_a";
+    a.phases.front().params.workingSetBytes = 3ULL * 1024 * 1024;
 
-    PhaseParams b = a;
-    b.workingSetBytes = 2560ULL * 1024;
-
-    std::vector<WorkloadSpec> pair;
-    pair.push_back(oneOracle("oracle_chase_pair_a", std::move(a)));
-    pair.push_back(oneOracle("oracle_chase_pair_b", std::move(b)));
-    return pair;
+    WorkloadSpec b = a;
+    b.name = "oracle_chase_pair_b";
+    b.phases.front().params.workingSetBytes = 2560ULL * 1024;
+    return {std::move(a), std::move(b)};
 }
 
 } // namespace mtperf::validate

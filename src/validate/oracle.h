@@ -89,13 +89,6 @@ std::vector<CounterBound> oracleBounds(const workload::WorkloadSpec &spec,
                                        std::uint64_t instructions);
 
 /**
- * The built-in oracle suite: one committed-spec-equivalent workload
- * per family, in family declaration order. specs/oracle/ holds the
- * same five documents; a test pins the two byte-identical.
- */
-std::vector<workload::WorkloadSpec> builtinOracleSuite();
-
-/**
  * Fewest instructions per lane for which the chase_pair calibration
  * holds: the co-run must reach occupancy steady state, or the
  * cold-start transient dominates the contention counts. Runs shorter
@@ -104,7 +97,8 @@ std::vector<workload::WorkloadSpec> builtinOracleSuite();
 inline constexpr std::uint64_t kChasePairMinInstructions = 100000;
 
 /**
- * The built-in co-run chase pair, in core order. Each lane is a pure
+ * The co-run chase pair, in core order: the embedded oracle_chase
+ * spec with its working set resized per lane. Each lane is a pure
  * pointer chase sized so it fits the shared L2 comfortably alone
  * (<= 3/4 of its lines) yet the two together overflow it (>= 5/4
  * combined): run solo, every contention counter is structurally

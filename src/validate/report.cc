@@ -4,10 +4,10 @@
 #include <sstream>
 
 #include "common/atomic_file.h"
-#include "common/checksum.h"
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/sealed_json.h"
 
 namespace mtperf::validate {
 
@@ -16,9 +16,6 @@ namespace {
 /** Top-level member naming the report schema version. */
 constexpr const char *kReportVersionKey = "mtperf_validate_report";
 constexpr std::uint64_t kReportVersion = 1;
-
-/** The CRC seal's byte suffix: the bytes after it are not covered. */
-constexpr const char *kCrcPrefix = ",\"crc32\":";
 
 void
 appendString(std::ostream &os, const std::string &text)
@@ -96,12 +93,7 @@ driftReportToJson(const ValidateReport &report)
     }
     os << "],\"checked\":" << report.checked()
        << ",\"failed\":" << report.failed();
-    std::string body = os.str();
-    const std::uint32_t crc = crc32(body);
-    body += kCrcPrefix;
-    body += std::to_string(crc);
-    body += '}';
-    return body;
+    return sealJson(os.str());
 }
 
 void
@@ -178,31 +170,14 @@ stringMember(const json::JsonValue &object, const char *key,
 ValidateReport
 parseDriftReport(std::string_view text, const std::string &source)
 {
-    // Verify the seal on the raw bytes before trusting any structure:
-    // the CRC covers everything before its own ",\"crc32\":" suffix.
-    const std::size_t seal = text.rfind(kCrcPrefix);
-    if (seal == std::string_view::npos)
-        badReport(source, "missing crc32 seal");
-    const std::string_view sealed = text.substr(0, seal);
-
     json::JsonValue root;
     try {
-        root = json::parseJson(text, source);
+        root = parseSealedJson(text, source);
     } catch (const FatalError &e) {
         badReport(source, e.what());
     }
-    if (!root.isObject())
-        badReport(source, "document must be an object");
     if (uintMember(root, kReportVersionKey, source) != kReportVersion)
         badReport(source, "unsupported report version");
-    const std::uint64_t declared = uintMember(root, "crc32", source);
-    const std::uint32_t computed = crc32(sealed);
-    if (declared != computed) {
-        badReport(source, "crc32 mismatch (stored " +
-                              std::to_string(declared) + ", computed " +
-                              std::to_string(computed) +
-                              "): file is damaged");
-    }
 
     ValidateReport report;
     report.instructions = uintMember(root, "instructions", source);

@@ -1,5 +1,7 @@
 #include "workload/phase.h"
 
+#include <iomanip>
+
 #include "common/logging.h"
 
 namespace mtperf::workload {
@@ -31,8 +33,8 @@ PhaseParams::validate() const
                        fpMulFrac + fpDivFrac + intMulFrac;
     if (mix > 1.0) {
         mtperf_fatal("phase '", name,
-                     "': instruction mix fractions sum to ", mix,
-                     " (> 1)");
+                     "': instruction mix fractions sum to ",
+                     std::setprecision(17), mix, " (> 1)");
     }
     checkFraction(pointerChaseFrac, "pointerChaseFrac", name);
     checkFraction(chasePageLocalFrac, "chasePageLocalFrac", name);

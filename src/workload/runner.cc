@@ -1,9 +1,9 @@
 #include "workload/runner.h"
 
 #include <algorithm>
-#include <cmath>
-
 #include <chrono>
+#include <cmath>
+#include <initializer_list>
 
 #include "common/fault.h"
 #include "common/logging.h"
@@ -33,6 +33,35 @@ jitterBytes(std::uint64_t value, double jitter, Rng &rng,
         floor_bytes, static_cast<std::uint64_t>(scaled));
 }
 
+/**
+ * Rescale @p fracs by 1/sum when their sum exceeds 1. The rescaled sum
+ * can still round to just above 1 (to 1.0000000000000002 for a
+ * bwaves_like section at seed 208), so the largest fraction then
+ * steps down one ulp at a time until the sum, added in the order
+ * PhaseParams::validate() adds it, is at most 1.
+ */
+void
+capSumAtOne(std::initializer_list<double *> fracs)
+{
+    const auto sum = [&] {
+        double total = 0.0;
+        for (const double *f : fracs)
+            total += *f;
+        return total;
+    };
+    const double total = sum();
+    if (total <= 1.0)
+        return;
+    const double scale = 1.0 / total;
+    for (double *f : fracs)
+        *f *= scale;
+    double *largest = *std::max_element(
+        fracs.begin(), fracs.end(),
+        [](const double *a, const double *b) { return *a < *b; });
+    while (sum() > 1.0)
+        *largest = std::nextafter(*largest, 0.0);
+}
+
 } // namespace
 
 PhaseParams
@@ -49,19 +78,8 @@ jitterPhase(const PhaseParams &params, double jitter, Rng &rng)
     p.fpDivFrac = jitterFraction(p.fpDivFrac, jitter, rng);
     p.intMulFrac = jitterFraction(p.intMulFrac, jitter, rng);
     // Renormalize if the jitter pushed the mix above 1.
-    const double mix = p.loadFrac + p.storeFrac + p.branchFrac +
-                       p.fpAddFrac + p.fpMulFrac + p.fpDivFrac +
-                       p.intMulFrac;
-    if (mix > 1.0) {
-        const double scale = 1.0 / mix;
-        p.loadFrac *= scale;
-        p.storeFrac *= scale;
-        p.branchFrac *= scale;
-        p.fpAddFrac *= scale;
-        p.fpMulFrac *= scale;
-        p.fpDivFrac *= scale;
-        p.intMulFrac *= scale;
-    }
+    capSumAtOne({&p.loadFrac, &p.storeFrac, &p.branchFrac, &p.fpAddFrac,
+                 &p.fpMulFrac, &p.fpDivFrac, &p.intMulFrac});
 
     p.workingSetBytes = jitterBytes(p.workingSetBytes, jitter, rng, 4096);
     p.hotFrac = jitterFraction(p.hotFrac, jitter, rng);
@@ -70,11 +88,7 @@ jitterPhase(const PhaseParams &params, double jitter, Rng &rng)
         jitterBytes(p.codeFootprintBytes, jitter, rng, 1024);
     p.pointerChaseFrac = jitterFraction(p.pointerChaseFrac, jitter, rng);
     p.streamFrac = jitterFraction(p.streamFrac, jitter, rng);
-    if (p.pointerChaseFrac + p.streamFrac > 1.0) {
-        const double scale = 1.0 / (p.pointerChaseFrac + p.streamFrac);
-        p.pointerChaseFrac *= scale;
-        p.streamFrac *= scale;
-    }
+    capSumAtOne({&p.pointerChaseFrac, &p.streamFrac});
     p.chasePageLocalFrac =
         jitterFraction(p.chasePageLocalFrac, jitter * 0.3, rng);
     p.branchEntropy = jitterFraction(p.branchEntropy, jitter, rng);

@@ -419,4 +419,23 @@ loadWorkloadSpecDir(const std::string &dir)
     return specs;
 }
 
+std::vector<WorkloadSpec>
+loadEmbeddedSpecs(std::span<const EmbeddedSpec> files)
+{
+    std::vector<WorkloadSpec> specs;
+    specs.reserve(files.size());
+    for (const EmbeddedSpec &file : files) {
+        const std::string source =
+            "embedded " + std::string(file.name) + ".json";
+        WorkloadSpec spec = parseWorkloadSpec(file.text, source);
+        if (spec.name != file.name)
+            throw UsageError(source + ": defines workload '" +
+                             spec.name + "', not '" +
+                             std::string(file.name) + "'");
+        obs::counter("workload.specs_loaded").increment();
+        specs.push_back(std::move(spec));
+    }
+    return specs;
+}
+
 } // namespace mtperf::workload

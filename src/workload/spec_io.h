@@ -21,8 +21,10 @@
  * WorkloadSpec and parsing the text back reproduces every field
  * exactly (shortest-round-trip doubles, exact integers), and parsing
  * a canonical document and re-serializing it reproduces the same
- * bytes. That property is what lets a committed spec file replace a
- * compiled-in workload without perturbing a single simulated counter.
+ * bytes. That property is what lets `mtperf workloads --export`
+ * reproduce the committed spec files byte for byte, and a spec
+ * directory stand in for the embedded suite without perturbing a
+ * single simulated counter.
  *
  * Strictness: every field is required, unknown or duplicate keys are
  * rejected, byte counts must be integral, and PhaseParams::validate()
@@ -35,6 +37,7 @@
 #ifndef MTPERF_WORKLOAD_SPEC_IO_H_
 #define MTPERF_WORKLOAD_SPEC_IO_H_
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -84,6 +87,31 @@ void saveWorkloadSpecFile(const std::string &path,
  * invalid, or two files define the same workload name.
  */
 std::vector<WorkloadSpec> loadWorkloadSpecDir(const std::string &dir);
+
+/** A committed spec file built into the binary. */
+struct EmbeddedSpec
+{
+    std::string_view name; //!< workload name = file name without .json
+    std::string_view text; //!< the file's bytes
+};
+
+/**
+ * The *.json files in specs/, in the order specs/suite.txt lists
+ * them. The build generates the definition (embed_specs.cmake).
+ */
+std::span<const EmbeddedSpec> embeddedSuiteSpecs();
+
+/** The *.json files in specs/oracle/, in filename order. */
+std::span<const EmbeddedSpec> embeddedOracleSpecs();
+
+/**
+ * Parse @p files in order through parseWorkloadSpec(), counting each
+ * in workload.specs_loaded.
+ * @throw UsageError naming the file when one is invalid or defines a
+ * workload whose name differs from its file name.
+ */
+std::vector<WorkloadSpec>
+loadEmbeddedSpecs(std::span<const EmbeddedSpec> files);
 
 } // namespace mtperf::workload
 

@@ -2,88 +2,52 @@
  * @file
  * The workload registry behind specLikeSuite().
  *
- * Re-points the suite accessors at the declarative spec files (see
- * spec_io.h) while keeping the compiled-in table as the fallback and
- * oracle. The resolved suite is cached per process; the registry
- * never silently swallows a broken spec file — if a directory was
- * selected (by environment or by existing in the source tree), every
- * file in it must load, or the error propagates. Workloads being
- * data means a corrupt spec fails loudly, like a compile error would.
+ * Resolves the suite to the spec files embedded at build time, or to
+ * the directory MTPERF_SPEC_DIR names. The resolved suite is cached
+ * per process; the registry never silently swallows a broken spec
+ * file — every file in a selected directory must load, or the error
+ * propagates. Workloads being data means a corrupt spec fails loudly,
+ * like a compile error would.
  */
 
 #include "workload/spec_suite.h"
 
-#include <algorithm>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <mutex>
 
 #include "common/logging.h"
-#include "obs/metrics.h"
 #include "workload/spec_io.h"
 
 namespace mtperf::workload {
 
 namespace {
 
-namespace fs = std::filesystem;
-
-/** Configure-time default: the source tree's specs/ directory. */
-std::string
-defaultSpecDir()
-{
-#ifdef MTPERF_SPEC_DIR
-    return MTPERF_SPEC_DIR;
-#else
-    return "";
-#endif
-}
-
-/** Does @p dir exist and hold at least one *.json file? */
-bool
-hasSpecFiles(const std::string &dir)
-{
-    std::error_code ec;
-    if (dir.empty() || !fs::is_directory(dir, ec))
-        return false;
-    for (const auto &entry : fs::directory_iterator(dir, ec)) {
-        if (entry.is_regular_file() &&
-            entry.path().extension() == ".json")
-            return true;
-    }
-    return false;
-}
-
 /**
- * Put a loaded suite into canonical order: compiled-suite order for
- * the names the compiled table knows, then any extra workloads sorted
- * by name. Dataset row order (and thus CSV bytes) therefore does not
- * depend on how the filesystem happened to list the directory.
+ * Put a loaded suite into canonical order: specs/suite.txt order for
+ * the names it lists, then any extra workloads sorted by name. Dataset
+ * row order (and thus CSV bytes) therefore does not depend on how the
+ * filesystem happened to list the directory.
  */
 std::vector<WorkloadSpec>
 canonicalSuiteOrder(std::vector<WorkloadSpec> loaded)
 {
-    std::map<std::string, std::size_t> index;
+    std::map<std::string, std::size_t, std::less<>> index;
     for (std::size_t i = 0; i < loaded.size(); ++i)
         index.emplace(loaded[i].name, i);
 
     std::vector<WorkloadSpec> ordered;
     ordered.reserve(loaded.size());
-    for (const auto &compiled : compiledSuite()) {
-        const auto it = index.find(compiled.name);
+    for (const EmbeddedSpec &listed : embeddedSuiteSpecs()) {
+        const auto it = index.find(listed.name);
         if (it == index.end())
             continue;
         ordered.push_back(std::move(loaded[it->second]));
         index.erase(it);
     }
-    std::vector<std::string> extras;
-    extras.reserve(index.size());
+    // The map iterates the extras in name order.
     for (const auto &[name, i] : index)
-        extras.push_back(name);
-    std::sort(extras.begin(), extras.end());
-    for (const auto &name : extras)
-        ordered.push_back(std::move(loaded[index.at(name)]));
+        ordered.push_back(std::move(loaded[i]));
     return ordered;
 }
 
@@ -106,29 +70,14 @@ registry()
 void
 resolveLocked(Registry &reg)
 {
-    const char *env = std::getenv("MTPERF_SPEC_DIR");
-    if (env != nullptr) {
-        const std::string dir(env);
-        if (dir.empty() || dir == "builtin") {
-            reg.suite = compiledSuite();
-            reg.source = "builtin (compiled-in table, forced by "
-                         "MTPERF_SPEC_DIR)";
-        } else {
-            reg.suite =
-                canonicalSuiteOrder(loadWorkloadSpecDir(dir));
-            reg.source = "spec directory " + dir +
-                         " (MTPERF_SPEC_DIR)";
-        }
-        reg.resolved = true;
-        return;
-    }
-    const std::string dir = defaultSpecDir();
-    if (hasSpecFiles(dir)) {
+    const char *dir = std::getenv("MTPERF_SPEC_DIR");
+    if (dir != nullptr && *dir != '\0') {
         reg.suite = canonicalSuiteOrder(loadWorkloadSpecDir(dir));
-        reg.source = "spec directory " + dir;
+        reg.source =
+            std::string("spec directory ") + dir + " (MTPERF_SPEC_DIR)";
     } else {
-        reg.suite = compiledSuite();
-        reg.source = "builtin (compiled-in table)";
+        reg.suite = loadEmbeddedSpecs(embeddedSuiteSpecs());
+        reg.source = "embedded specs/*.json (specs/suite.txt order)";
     }
     reg.resolved = true;
 }

@@ -12,23 +12,21 @@
  * experiments rely on is that the suite spans the same diverse mix of
  * bottleneck classes the paper's dataset did.
  *
- * Since the declarative workload language landed, the suite is *data*:
- * specLikeSuite() resolves through a registry that loads the committed
- * spec JSON files (bit-identical to the compiled-in table — a test
- * pins this) and falls back to the compiled definitions when no spec
- * directory is available. Resolution order:
+ * The suite is *data*: the committed *.json files in specs/, built
+ * into the binary at compile time and parsed by the strict spec
+ * loader (spec_io.h). specLikeSuite() resolves through a registry:
  *
- *   1. the MTPERF_SPEC_DIR environment variable — a directory of
- *      *.json workload specs, or the literal "builtin" to force the
- *      compiled-in table;
- *   2. the source tree's specs/ directory (path baked in at
- *      configure time) when it exists and contains spec files;
- *   3. the compiled-in table.
+ *   1. the MTPERF_SPEC_DIR environment variable, when set and not
+ *      empty, names a directory of *.json workload specs to run;
+ *   2. otherwise the embedded copy of specs/ runs, so a binary
+ *      behaves the same wherever it is and whether or not the source
+ *      tree still exists.
  *
- * Loaded suites are reordered canonically (compiled-suite order for
- * known names, then extras sorted by name) so dataset row order — and
- * therefore every downstream CSV byte — is independent of directory
- * listing order.
+ * The embedded suite keeps the order of the manifest specs/suite.txt.
+ * Directory suites are reordered canonically (manifest order for the
+ * names it lists, then extras sorted by name) so dataset row order —
+ * and therefore every downstream CSV byte — is independent of
+ * directory listing order.
  */
 
 #ifndef MTPERF_WORKLOAD_SPEC_SUITE_H_
@@ -52,12 +50,6 @@ WorkloadSpec suiteWorkload(const std::string &name);
 
 /** Names of all suite workloads, in suite order. */
 std::vector<std::string> suiteWorkloadNames();
-
-/**
- * The hand-written C++ table, bypassing the spec registry. This is
- * the fallback source and the oracle the loader is tested against.
- */
-std::vector<WorkloadSpec> compiledSuite();
 
 /** Human description of where specLikeSuite() got its workloads. */
 std::string suiteSourceDescription();

@@ -63,7 +63,7 @@ class StreamGenerator
     /**
      * Per-footprint Zipf samplers, rebuilt by setParams (per section)
      * instead of re-deriving the rejection-inversion constants on
-     * every address draw. Bit-identical to calling Rng::zipf inline.
+     * every address draw.
      */
     ZipfSampler hotSampler_;
     ZipfSampler dataSampler_;

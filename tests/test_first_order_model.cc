@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "perf/first_order_model.h"
+#include "ml/baseline/first_order_model.h"
 
 namespace mtperf::perf {
 namespace {

@@ -8,11 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include "ml/baseline/first_order_model.h"
 #include "ml/eval/cross_validation.h"
 #include "ml/linear/linear_model.h"
 #include "ml/tree/m5prime.h"
 #include "perf/analyzer.h"
-#include "perf/first_order_model.h"
 #include "perf/section_collector.h"
 #include "uarch/event_counters.h"
 

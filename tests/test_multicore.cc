@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -54,39 +53,11 @@ suiteWorkload(const std::string &name)
     return {};
 }
 
-/**
- * The golden pins below were captured against the compiled-in suite;
- * pin the registry to it (and restore the environment afterwards) so
- * the bytes cannot drift with the contents of --workload-dir.
- */
+/** The golden pins below run against the embedded suite. */
 class MulticoreGoldenTest : public testing::Test
 {
   protected:
-    void
-    SetUp() override
-    {
-        const char *old = std::getenv("MTPERF_SPEC_DIR");
-        hadOld_ = old != nullptr;
-        if (hadOld_)
-            old_ = old;
-        ::setenv("MTPERF_SPEC_DIR", "builtin", 1);
-        workload::reloadSuiteRegistry();
-    }
-
-    void
-    TearDown() override
-    {
-        if (hadOld_)
-            ::setenv("MTPERF_SPEC_DIR", old_.c_str(), 1);
-        else
-            ::unsetenv("MTPERF_SPEC_DIR");
-        workload::reloadSuiteRegistry();
-        setGlobalThreadCount(0);
-    }
-
-  private:
-    bool hadOld_ = false;
-    std::string old_;
+    void TearDown() override { setGlobalThreadCount(0); }
 };
 
 // ---------------------------------------------------------------

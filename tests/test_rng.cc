@@ -174,23 +174,26 @@ TEST(Rng, GeometricPOneIsZero)
 TEST(Rng, ZipfSupport)
 {
     Rng rng(53);
+    const ZipfSampler zipf(100, 1.0);
     for (int i = 0; i < 10000; ++i)
-        EXPECT_LT(rng.zipf(100, 1.0), 100u);
+        EXPECT_LT(zipf.sample(rng), 100u);
 }
 
 TEST(Rng, ZipfSingleElement)
 {
     Rng rng(59);
+    const ZipfSampler zipf(1, 1.2);
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(rng.zipf(1, 1.2), 0u);
+        EXPECT_EQ(zipf.sample(rng), 0u);
 }
 
 TEST(Rng, ZipfRankFrequenciesDecrease)
 {
     Rng rng(61);
+    const ZipfSampler zipf(50, 1.0);
     std::vector<int> counts(50, 0);
     for (int i = 0; i < 200000; ++i)
-        ++counts[rng.zipf(50, 1.0)];
+        ++counts[zipf.sample(rng)];
     // Head elements should dominate tail elements clearly.
     EXPECT_GT(counts[0], counts[9]);
     EXPECT_GT(counts[0], 4 * counts[24]);
@@ -202,10 +205,11 @@ TEST(Rng, ZipfMatchesTheoreticalHeadMass)
     Rng rng(67);
     const std::uint64_t n = 1000;
     const double s = 1.0;
+    const ZipfSampler zipf(n, s);
     std::vector<int> counts(n, 0);
     const int draws = 300000;
     for (int i = 0; i < draws; ++i)
-        ++counts[rng.zipf(n, s)];
+        ++counts[zipf.sample(rng)];
     double harmonic = 0.0;
     for (std::uint64_t r = 1; r <= n; ++r)
         harmonic += 1.0 / static_cast<double>(r);
@@ -235,32 +239,6 @@ TEST(Rng, ShuffleEmptyAndSingleton)
     std::vector<int> one{42};
     rng.shuffle(one);
     EXPECT_EQ(one, std::vector<int>{42});
-}
-
-TEST(ZipfSampler, BitIdenticalToRngZipf)
-{
-    // The sampler precomputes the rejection-inversion constants once;
-    // it must consume the same uniform stream and produce the same
-    // values as the per-call Rng::zipf for every (n, s) shape the
-    // workload generator uses.
-    const struct
-    {
-        std::uint64_t n;
-        double s;
-    } shapes[] = {{1, 1.2}, {2, 0.8}, {7, 1.0}, {64, 1.2},
-                  {1000, 0.6}, {65536, 1.1}};
-
-    for (const auto &shape : shapes) {
-        Rng direct(4242), sampled(4242);
-        const ZipfSampler sampler(shape.n, shape.s);
-        for (int i = 0; i < 5000; ++i) {
-            ASSERT_EQ(sampler.sample(sampled),
-                      direct.zipf(shape.n, shape.s))
-                << "n=" << shape.n << " s=" << shape.s << " draw " << i;
-        }
-        // Identical uniform consumption: generators stay in lockstep.
-        EXPECT_EQ(direct.next(), sampled.next());
-    }
 }
 
 } // namespace

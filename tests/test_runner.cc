@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "uarch/event_counters.h"
 #include "workload/runner.h"
+#include "workload/spec_suite.h"
 
 namespace mtperf::workload {
 namespace {
@@ -183,6 +184,18 @@ TEST(JitterPhase, RenormalizesOverfullMix)
                       q.intMulFrac,
                   1.0 + 1e-9);
     }
+}
+
+TEST(JitterPhase, RescaledMixNeverRoundsAboveOne)
+{
+    // At seed 208 a bwaves_like section jitters to a mix whose 1/sum
+    // rescale alone still adds up to 1.0000000000000002, which
+    // validate() rejects, aborting the whole run.
+    RunnerOptions options;
+    options.seed = 208;
+    options.instructionsPerSection = 50;
+    const WorkloadSpec spec = suiteWorkload("bwaves_like");
+    EXPECT_EQ(runWorkload(spec, options).size(), spec.totalSections());
 }
 
 } // namespace

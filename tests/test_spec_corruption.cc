@@ -34,7 +34,7 @@ class SpecCorruptionTest : public testing::Test
         std::filesystem::remove_all(dir_); // stale corpus files
         std::filesystem::create_directories(dir_);
         path_ = dir_ + "/victim.json";
-        spec_ = compiledSuite().front();
+        spec_ = specLikeSuite().front();
         saveWorkloadSpecFile(path_, spec_);
         bytes_ = testutil::slurpFile(path_);
         ASSERT_FALSE(bytes_.empty());

@@ -73,7 +73,7 @@ loadError(const std::string &text, const std::string &source = "t.json")
 
 TEST(SpecIo, EveryCompiledWorkloadRoundTripsBitIdentically)
 {
-    for (const auto &spec : compiledSuite()) {
+    for (const auto &spec : specLikeSuite()) {
         const std::string text = workloadSpecToJson(spec);
         const WorkloadSpec back = parseWorkloadSpec(text, spec.name);
         expectSpecEq(spec, back);
@@ -82,11 +82,27 @@ TEST(SpecIo, EveryCompiledWorkloadRoundTripsBitIdentically)
     }
 }
 
+TEST(SpecIo, EmbeddedSpecMustDefineTheWorkloadItsFileNames)
+{
+    const EmbeddedSpec first = embeddedSuiteSpecs().front();
+    EXPECT_EQ(loadEmbeddedSpecs({&first, 1}).front().name, first.name);
+
+    const EmbeddedSpec renamed{"renamed_like", first.text};
+    try {
+        loadEmbeddedSpecs({&renamed, 1});
+        FAIL() << "a spec under another file name did not throw";
+    } catch (const UsageError &e) {
+        EXPECT_NE(std::string(e.what()).find("embedded renamed_like.json"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(SpecIo, FileRoundTripIsExact)
 {
     const std::string dir = testing::TempDir() + "/mtperf_spec_io";
     std::filesystem::create_directories(dir);
-    const auto spec = compiledSuite().front();
+    const auto spec = specLikeSuite().front();
     const std::string path = dir + "/w.json";
     saveWorkloadSpecFile(path, spec);
     expectSpecEq(spec, loadWorkloadSpecFile(path));
@@ -102,7 +118,7 @@ TEST(SpecIo, FileRoundTripIsExact)
 
 TEST(SpecIo, ValidateRunsAtLoadNamingFieldAndFile)
 {
-    std::string text = workloadSpecToJson(compiledSuite().front());
+    std::string text = workloadSpecToJson(specLikeSuite().front());
     const auto pos = text.find("\"load\": ");
     ASSERT_NE(pos, std::string::npos);
     text.replace(pos, text.find(',', pos) - pos, "\"load\": 1.5");
@@ -114,7 +130,7 @@ TEST(SpecIo, ValidateRunsAtLoadNamingFieldAndFile)
 TEST(SpecIo, SchemaViolationsNamePathAndSource)
 {
     const std::string canon =
-        workloadSpecToJson(compiledSuite().front());
+        workloadSpecToJson(specLikeSuite().front());
 
     // Unknown member: all known fields present plus a stray one.
     {
@@ -159,7 +175,7 @@ TEST(SpecIo, SchemaViolationsNamePathAndSource)
 TEST(SpecIo, VersionPolicy)
 {
     const std::string canon =
-        workloadSpecToJson(compiledSuite().front());
+        workloadSpecToJson(specLikeSuite().front());
 
     std::string text = canon;
     const auto pos = text.find("\"mtperf_workload\": 1");
@@ -188,7 +204,7 @@ TEST(SpecIo, DirLoadSortsAndRejectsDuplicateNames)
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
 
-    auto spec = compiledSuite().front();
+    auto spec = specLikeSuite().front();
     spec.name = "bbb";
     saveWorkloadSpecFile(dir + "/02_second.json", spec);
     spec.name = "aaa";

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the suite registry: spec files must be able to replace
- * the compiled-in table without perturbing a single output byte.
+ * Tests for the suite registry: a spec directory holding the embedded
+ * suite must reproduce it without perturbing a single output byte.
  */
 
 #include <cstdlib>
@@ -22,17 +22,23 @@
 namespace mtperf::workload {
 namespace {
 
-/** Point MTPERF_SPEC_DIR at @p dir for the scope, then restore. */
+/**
+ * Point MTPERF_SPEC_DIR at @p dir (unset it when null) for the scope,
+ * then restore.
+ */
 class SpecDirGuard
 {
   public:
-    explicit SpecDirGuard(const std::string &dir)
+    explicit SpecDirGuard(const char *dir)
     {
         const char *old = std::getenv("MTPERF_SPEC_DIR");
         had_ = old != nullptr;
         if (had_)
             old_ = old;
-        setenv("MTPERF_SPEC_DIR", dir.c_str(), 1);
+        if (dir != nullptr)
+            setenv("MTPERF_SPEC_DIR", dir, 1);
+        else
+            unsetenv("MTPERF_SPEC_DIR");
         reloadSuiteRegistry();
     }
 
@@ -78,41 +84,38 @@ suiteCsv(const std::vector<WorkloadSpec> &suite, std::size_t threads)
     return os.str();
 }
 
+/** The default suite: MTPERF_SPEC_DIR unset selects the embedded one. */
+std::vector<WorkloadSpec>
+embeddedSuite()
+{
+    SpecDirGuard guard(nullptr);
+    EXPECT_EQ(suiteSourceDescription().find("embedded"), 0u)
+        << suiteSourceDescription();
+    return specLikeSuite();
+}
+
 TEST(SpecRegistry, LoadedSuiteEqualsCompiledBitIdentically)
 {
-    const auto compiled = compiledSuite();
-    const std::string dir = exportSuite(compiled, "mtperf_reg_bitid");
-    SpecDirGuard guard(dir);
+    const auto embedded = embeddedSuite();
+    const std::string dir = exportSuite(embedded, "mtperf_reg_bitid");
+    SpecDirGuard guard(dir.c_str());
 
     const auto loaded = specLikeSuite();
-    ASSERT_EQ(loaded.size(), compiled.size());
+    ASSERT_EQ(loaded.size(), embedded.size());
     for (std::size_t i = 0; i < loaded.size(); ++i) {
-        EXPECT_EQ(loaded[i].name, compiled[i].name) << i;
+        EXPECT_EQ(loaded[i].name, embedded[i].name) << i;
         EXPECT_EQ(workloadSpecToJson(loaded[i]),
-                  workloadSpecToJson(compiled[i]))
-            << compiled[i].name;
+                  workloadSpecToJson(embedded[i]))
+            << embedded[i].name;
     }
     EXPECT_NE(suiteSourceDescription().find(dir), std::string::npos);
 
     // The acceptance bar: simulated section CSVs are byte-identical
-    // between the compiled table and the loaded spec files, at any
-    // thread count.
-    const std::string from_compiled = suiteCsv(compiled, 3);
-    EXPECT_EQ(suiteCsv(loaded, 1), from_compiled);
-    EXPECT_EQ(suiteCsv(loaded, 3), from_compiled);
-}
-
-TEST(SpecRegistry, BuiltinSentinelForcesCompiledTable)
-{
-    SpecDirGuard guard("builtin");
-    EXPECT_NE(suiteSourceDescription().find("builtin"),
-              std::string::npos);
-    const auto suite = specLikeSuite();
-    const auto compiled = compiledSuite();
-    ASSERT_EQ(suite.size(), compiled.size());
-    for (std::size_t i = 0; i < suite.size(); ++i)
-        EXPECT_EQ(workloadSpecToJson(suite[i]),
-                  workloadSpecToJson(compiled[i]));
+    // between the embedded suite and the same specs loaded from a
+    // directory, at any thread count.
+    const std::string from_embedded = suiteCsv(embedded, 3);
+    EXPECT_EQ(suiteCsv(loaded, 1), from_embedded);
+    EXPECT_EQ(suiteCsv(loaded, 3), from_embedded);
 }
 
 TEST(SpecRegistry, MissingEnvDirectoryFailsLoudly)
@@ -123,37 +126,37 @@ TEST(SpecRegistry, MissingEnvDirectoryFailsLoudly)
 
 TEST(SpecRegistry, ExtraWorkloadsJoinAfterSuiteSortedByName)
 {
-    auto suite = compiledSuite();
+    auto suite = embeddedSuite();
     auto extra_b = suite.front();
     extra_b.name = "zz_extra_b";
     auto extra_a = suite.front();
-    extra_a.name = "zz_extra_a";
+    extra_a.name = "aa_extra_a";
     suite.push_back(extra_b);
     suite.push_back(extra_a);
     const std::string dir = exportSuite(suite, "mtperf_reg_extra");
-    SpecDirGuard guard(dir);
+    SpecDirGuard guard(dir.c_str());
 
     const auto loaded = specLikeSuite();
-    const auto compiled = compiledSuite();
-    ASSERT_EQ(loaded.size(), compiled.size() + 2);
-    // Known names keep compiled order regardless of filename order...
-    for (std::size_t i = 0; i < compiled.size(); ++i)
-        EXPECT_EQ(loaded[i].name, compiled[i].name);
+    const auto manifest = embeddedSuiteSpecs();
+    ASSERT_EQ(loaded.size(), manifest.size() + 2);
+    // Known names keep specs/suite.txt order regardless of filename
+    // order...
+    for (std::size_t i = 0; i < manifest.size(); ++i)
+        EXPECT_EQ(loaded[i].name, manifest[i].name);
     // ...and extras follow, sorted by name.
-    EXPECT_EQ(loaded[compiled.size()].name, "zz_extra_a");
-    EXPECT_EQ(loaded[compiled.size() + 1].name, "zz_extra_b");
+    EXPECT_EQ(loaded[manifest.size()].name, "aa_extra_a");
+    EXPECT_EQ(loaded[manifest.size() + 1].name, "zz_extra_b");
 }
 
 TEST(SpecRegistry, CorruptSpecInSelectedDirPropagates)
 {
-    const auto compiled = compiledSuite();
     const std::string dir =
-        exportSuite({compiled.front()}, "mtperf_reg_corrupt");
+        exportSuite({embeddedSuite().front()}, "mtperf_reg_corrupt");
     {
         std::ofstream bad(dir + "/broken.json");
         bad << "{\"mtperf_workload\": 1,";
     }
-    SpecDirGuard guard(dir);
+    SpecDirGuard guard(dir.c_str());
     try {
         specLikeSuite();
         FAIL() << "corrupt spec file did not throw";

@@ -63,9 +63,10 @@ TEST_P(UarchPropertyTest, LruInclusionUnderAssociativity)
     CacheConfig large{"large", 32 * 1024, 8, 64, false, 1};
     Cache a(small), b(large);
     Rng rng(GetParam());
+    const ZipfSampler zipf(4096, 0.8);
     for (int i = 0; i < 100000; ++i) {
         const Addr addr =
-            rng.zipf(4096, 0.8) * 64 + rng.uniformInt(std::uint64_t(64));
+            zipf.sample(rng) * 64 + rng.uniformInt(std::uint64_t(64));
         const bool small_hit = a.access(addr);
         const bool large_hit = b.access(addr);
         if (small_hit) {

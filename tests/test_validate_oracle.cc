@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the analytic counter oracles: hand-computed expected
- * counts per family, classification of (and rejection of) spec
- * shapes, agreement between the committed specs/oracle/ files and the
- * compiled-in suite, and a property test that generator-minted
- * chase phases stay inside the chase bounds when simulated.
+ * counts per family over the embedded specs/oracle/ suite,
+ * classification of (and rejection of) spec shapes, and a property
+ * test that generator-minted chase phases stay inside the chase
+ * bounds when simulated.
  */
 
 #include <cmath>
@@ -48,10 +48,16 @@ boundsByName(const WorkloadSpec &spec, std::uint64_t n)
     return map;
 }
 
+std::vector<WorkloadSpec>
+oracleSuite()
+{
+    return workload::loadEmbeddedSpecs(workload::embeddedOracleSpecs());
+}
+
 WorkloadSpec
 suiteSpec(OracleFamily family)
 {
-    for (WorkloadSpec &spec : builtinOracleSuite()) {
+    for (WorkloadSpec &spec : oracleSuite()) {
         if (classifyOracleSpec(spec) == family)
             return spec;
     }
@@ -66,7 +72,7 @@ suiteSpec(OracleFamily family)
 
 TEST(OracleSuite, OneWorkloadPerFamilyAllBoundsComplete)
 {
-    const auto suite = builtinOracleSuite();
+    const auto suite = oracleSuite();
     ASSERT_EQ(suite.size(), 5u);
     std::vector<OracleFamily> families;
     for (const WorkloadSpec &spec : suite) {
@@ -81,30 +87,12 @@ TEST(OracleSuite, OneWorkloadPerFamilyAllBoundsComplete)
             EXPECT_LE(bounds[i].expected, bounds[i].hi);
         }
     }
+    // Filename order, which is also the drift report's order.
     EXPECT_EQ(families,
               (std::vector<OracleFamily>{
-                  OracleFamily::Chase, OracleFamily::Lcp,
                   OracleFamily::BranchLadder, OracleFamily::BranchNoise,
+                  OracleFamily::Chase, OracleFamily::Lcp,
                   OracleFamily::Stride}));
-}
-
-TEST(OracleSuite, CommittedSpecFilesMatchCompiledSuite)
-{
-    // specs/oracle/*.json are the on-disk form of builtinOracleSuite();
-    // the harness must see the same workloads whichever source wins.
-    // loadWorkloadSpecDir sorts by filename; match up by name.
-    std::map<std::string, std::string> committed;
-    for (const WorkloadSpec &spec :
-         workload::loadWorkloadSpecDir(MTPERF_TEST_ORACLE_DIR))
-        committed[spec.name] = workload::workloadSpecToJson(spec);
-    const auto builtin = builtinOracleSuite();
-    ASSERT_EQ(committed.size(), builtin.size());
-    for (const WorkloadSpec &spec : builtin) {
-        ASSERT_TRUE(committed.count(spec.name)) << spec.name;
-        EXPECT_EQ(committed.at(spec.name),
-                  workload::workloadSpecToJson(spec))
-            << spec.name;
-    }
 }
 
 TEST(OracleClassify, RejectsUnanalyzableSpecs)
