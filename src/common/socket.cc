@@ -132,6 +132,9 @@ listenTcp(const std::string &host, std::uint16_t port,
         failErrno("socket()");
     const int one = 1;
     ::setsockopt(sock.fd(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    // Replies must not wait on Nagle for the peer's delayed ACK; Linux
+    // copies the option to every socket accepted from this listener.
+    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     sockaddr_in sa = tcpAddress(host, port);
     if (::bind(sock.fd(), reinterpret_cast<sockaddr *>(&sa),
                sizeof(sa)) != 0) {

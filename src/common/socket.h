@@ -91,6 +91,7 @@ Endpoint parseEndpoint(const std::string &text,
 /**
  * Bind and listen on a TCP endpoint. Port 0 picks an ephemeral port;
  * @p bound_port (if non-null) receives the actual port either way.
+ * Accepted sockets inherit TCP_NODELAY from the listener.
  * @throw FatalError when binding fails.
  */
 Socket listenTcp(const std::string &host, std::uint16_t port,

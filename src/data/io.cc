@@ -1,5 +1,6 @@
 #include "data/io.h"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <ostream>
@@ -25,6 +26,24 @@ cellContext(const CsvTable &table, std::size_t row, std::size_t col)
     if (col < table.header.size())
         os << " (" << table.header[col] << ")";
     return os.str();
+}
+
+/**
+ * parseDouble() on one cell. The cell's context is built only when the
+ * plain parse fails: formatting it costs more than the parse itself.
+ */
+double
+parseCell(const CsvTable &table, std::size_t row, std::size_t col)
+{
+    const std::string &text = table.rows[row][col];
+    const char *first = text.data();
+    const char *last = first + text.size();
+    double value = 0.0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec == std::errc() && ptr == last)
+        return value;
+    // Padded or malformed: parseDouble trims, then parses or throws.
+    return parseDouble(text, cellContext(table, row, col));
 }
 
 } // namespace
@@ -92,17 +111,11 @@ datasetFromCsvTable(const CsvTable &table, const std::string &target_name,
         double target = 0.0;
         RowCorun corun;
         try {
-            for (std::size_t i = 0; i < attr_cols.size(); ++i) {
-                attrs[i] = parseDouble(row[attr_cols[i]],
-                                       cellContext(table, r,
-                                                   attr_cols[i]));
-            }
-            target = parseDouble(row[target_col],
-                                 cellContext(table, r, target_col));
+            for (std::size_t i = 0; i < attr_cols.size(); ++i)
+                attrs[i] = parseCell(table, r, attr_cols[i]);
+            target = parseCell(table, r, target_col);
             if (has_corun) {
-                const double core_value =
-                    parseDouble(row[core_col],
-                                cellContext(table, r, core_col));
+                const double core_value = parseCell(table, r, core_col);
                 if (core_value < 0 ||
                     core_value != std::floor(core_value)) {
                     mtperf_fatal(cellContext(table, r, core_col),

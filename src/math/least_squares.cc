@@ -9,83 +9,13 @@ namespace mtperf {
 
 namespace {
 
-/**
- * In-place Householder QR on a copy of the augmented system.
- * Returns false when R is rank-deficient (tiny diagonal), in which
- * case the caller should fall back to ridge regression.
- */
-bool
-qrSolve(Matrix a, std::vector<double> b, std::vector<double> &x)
-{
-    const std::size_t m = a.rows();
-    const std::size_t n = a.cols();
-    if (m < n)
-        return false;
-
-    // Scale tolerance by the magnitude of A so the rank test is
-    // invariant under uniform scaling of the inputs.
-    const double tol = 1e-12 * std::max(1.0, a.maxAbs());
-
-    for (std::size_t k = 0; k < n; ++k) {
-        // Householder vector for column k, rows k..m-1.
-        double norm = 0.0;
-        for (std::size_t i = k; i < m; ++i)
-            norm += a(i, k) * a(i, k);
-        norm = std::sqrt(norm);
-        if (norm <= tol)
-            return false;
-
-        const double alpha = a(k, k) > 0 ? -norm : norm;
-        // v = x - alpha e1; store v in the column (normalized by v[0]).
-        double vkk = a(k, k) - alpha;
-        std::vector<double> v(m - k);
-        v[0] = vkk;
-        for (std::size_t i = k + 1; i < m; ++i)
-            v[i - k] = a(i, k);
-        double vtv = 0.0;
-        for (double val : v)
-            vtv += val * val;
-        if (vtv <= tol * tol)
-            return false;
-
-        // Apply H = I - 2 v v^T / (v^T v) to remaining columns and b.
-        for (std::size_t j = k; j < n; ++j) {
-            double dot = 0.0;
-            for (std::size_t i = k; i < m; ++i)
-                dot += v[i - k] * a(i, j);
-            const double f = 2.0 * dot / vtv;
-            for (std::size_t i = k; i < m; ++i)
-                a(i, j) -= f * v[i - k];
-        }
-        double dot_b = 0.0;
-        for (std::size_t i = k; i < m; ++i)
-            dot_b += v[i - k] * b[i];
-        const double fb = 2.0 * dot_b / vtv;
-        for (std::size_t i = k; i < m; ++i)
-            b[i] -= fb * v[i - k];
-
-        a(k, k) = alpha;
-    }
-
-    // Back substitution on the upper-triangular R.
-    x.assign(n, 0.0);
-    for (std::size_t ri = n; ri-- > 0;) {
-        double acc = b[ri];
-        for (std::size_t j = ri + 1; j < n; ++j)
-            acc -= a(ri, j) * x[j];
-        const double diag = a(ri, ri);
-        if (std::abs(diag) <= tol)
-            return false;
-        x[ri] = acc / diag;
-    }
-    return true;
-}
+/** Ridge penalty of the rank-deficient fallback, before escalation. */
+constexpr double kRidge = 1e-8;
 
 /**
  * Cholesky solve of the SPD system s x = rhs; returns false when a
  * pivot falls to @p tol or below (tol = 0 is the plain SPD test; a
- * positive tol acts as the rank test the QR path does with its tiny
- * R-diagonal check).
+ * positive tol is a rank test).
  */
 bool
 choleskySolve(Matrix s, std::vector<double> rhs, std::vector<double> &x,
@@ -127,61 +57,6 @@ choleskySolve(Matrix s, std::vector<double> rhs, std::vector<double> &x,
 
 } // namespace
 
-std::vector<double>
-solveRidge(const Matrix &a, const std::vector<double> &b, double ridge)
-{
-    mtperf_assert(a.rows() == b.size(),
-                  "least squares dimension mismatch");
-    const std::size_t n = a.cols();
-    // Form the normal equations A^T A + ridge I and A^T b.
-    Matrix s(n, n);
-    std::vector<double> rhs(n, 0.0);
-    for (std::size_t r = 0; r < a.rows(); ++r) {
-        const double *row = a.rowData(r);
-        for (std::size_t i = 0; i < n; ++i) {
-            rhs[i] += row[i] * b[r];
-            for (std::size_t j = i; j < n; ++j)
-                s(i, j) += row[i] * row[j];
-        }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-        s(i, i) += ridge;
-        for (std::size_t j = 0; j < i; ++j)
-            s(i, j) = s(j, i);
-    }
-
-    std::vector<double> x;
-    double lambda = ridge;
-    // A tiny ridge can still be numerically non-SPD for wildly scaled
-    // inputs; escalate the penalty geometrically until Cholesky works.
-    for (int attempt = 0; attempt < 30; ++attempt) {
-        if (choleskySolve(s, rhs, x))
-            return x;
-        for (std::size_t i = 0; i < n; ++i)
-            s(i, i) += lambda * 9.0;
-        lambda *= 10.0;
-    }
-    mtperf_panic("ridge solve failed to converge to an SPD system");
-}
-
-LeastSquaresResult
-solveLeastSquares(const Matrix &a, const std::vector<double> &b, double ridge)
-{
-    if (a.rows() != b.size())
-        mtperf_fatal("least squares: A has ", a.rows(), " rows but b has ",
-                     b.size(), " entries");
-    if (a.cols() == 0)
-        return {{}, false};
-
-    LeastSquaresResult result;
-    if (qrSolve(a, b, result.x))
-        return result;
-
-    result.x = solveRidge(a, b, ridge);
-    result.regularized = true;
-    return result;
-}
-
 GramSystem::GramSystem(std::size_t features)
     : features_(features),
       xtx_(features + 1, features + 1),
@@ -208,8 +83,7 @@ GramSystem::addRow(const double *vals, double y)
 }
 
 std::vector<double>
-GramSystem::solveSubset(std::span<const std::size_t> subset,
-                        double ridge) const
+GramSystem::solveSubset(std::span<const std::size_t> subset) const
 {
     const std::size_t s = subset.size() + 1; // chosen features + intercept
     Matrix sm(s, s);
@@ -232,8 +106,8 @@ GramSystem::solveSubset(std::span<const std::size_t> subset,
 
     std::vector<double> x;
     if (rows_ >= s) {
-        // Unregularized attempt, with a relative pivot tolerance
-        // standing in for the QR path's rank test.
+        // Unregularized attempt, with a pivot tolerance relative to
+        // the largest diagonal entry as the rank test.
         double max_diag = 0.0;
         for (std::size_t i = 0; i < s; ++i)
             max_diag = std::max(max_diag, sm(i, i));
@@ -242,11 +116,12 @@ GramSystem::solveSubset(std::span<const std::size_t> subset,
             return x;
     }
 
-    // Underdetermined or rank-deficient: same escalating-ridge policy
-    // as solveRidge().
+    // Underdetermined or rank-deficient: ridge, escalated until the
+    // penalized system factors (a tiny ridge can still be numerically
+    // non-SPD for wildly scaled inputs).
     for (std::size_t i = 0; i < s; ++i)
-        sm(i, i) += ridge;
-    double lambda = ridge;
+        sm(i, i) += kRidge;
+    double lambda = kRidge;
     for (int attempt = 0; attempt < 30; ++attempt) {
         if (choleskySolve(sm, rhs, x))
             return x;

@@ -1,14 +1,24 @@
 /**
  * @file
- * Linear least-squares solvers.
+ * Linear least squares from sufficient statistics.
  *
- * The model-tree leaf models and the baseline regressors all reduce to
- * solving min_x ||A x - b||_2. The primary solver uses Householder QR,
- * which is numerically stable for the tall skinny systems that arise
- * (hundreds to thousands of rows, ~20 columns). When A is (near) rank
- * deficient — common at small leaves where an event never fires — a
- * small ridge penalty is added, which both regularizes and guarantees
- * full rank.
+ * Every linear model in the library — M5' leaf and interior models,
+ * the M5Rules default rule and the global linear baseline — solves
+ * min_x ||A x - b||_2 for a tall skinny A (hundreds to thousands of
+ * rows, ~20 columns plus an intercept). GramSystem folds the rows into
+ * the normal equations A^T A x = A^T b once and solves them by
+ * Cholesky, so refitting over any subset of the columns never touches
+ * the rows again.
+ *
+ * Forming A^T A squares the condition number, and the rank test reads
+ * a Cholesky pivot below 1e-12 of the largest diagonal entry as zero.
+ * The path therefore assumes column RMS values (the intercept's is 1)
+ * within six orders of magnitude of each other. Inside that spread the
+ * coefficients come out to ~1e-14 relative error; from six orders on,
+ * the smallest column starts to read as rank-deficient and the ridge
+ * fallback costs digits (relative error ~4e-3 at seven orders). The
+ * Table-I ratio columns span about three orders
+ * (RMS 5.1e-4 for LdBlStd to 0.44 for InstOther).
  */
 
 #ifndef MTPERF_MATH_LEAST_SQUARES_H_
@@ -21,39 +31,6 @@
 
 namespace mtperf {
 
-/** Result of a least-squares solve. */
-struct LeastSquaresResult
-{
-    /** Solution vector x. */
-    std::vector<double> x;
-    /** True if the ridge fallback was used (rank-deficient system). */
-    bool regularized = false;
-};
-
-/**
- * Solve min_x ||A x - b||_2 by Householder QR.
- *
- * @param a design matrix, rows >= cols required for a unique solution;
- *          fewer rows than columns triggers the ridge fallback.
- * @param b right-hand side with a.rows() entries.
- * @param ridge penalty used by the fallback when the QR factors are
- *          rank-deficient (diagonal of R has a tiny entry).
- * @throw FatalError if dimensions are inconsistent.
- */
-LeastSquaresResult solveLeastSquares(const Matrix &a,
-                                     const std::vector<double> &b,
-                                     double ridge = 1e-8);
-
-/**
- * Solve the ridge-regularized normal equations
- * (A^T A + ridge I) x = A^T b directly (Cholesky).
- *
- * Exposed for callers that always want regularization, e.g. the MLP
- * output layer initialization and kernel methods.
- */
-std::vector<double> solveRidge(const Matrix &a, const std::vector<double> &b,
-                               double ridge);
-
 /**
  * Accumulated sufficient statistics for least-squares fits over one
  * fixed row set: the Gram matrix X^T X and moment vector X^T y over a
@@ -63,10 +40,11 @@ std::vector<double> solveRidge(const Matrix &a, const std::vector<double> &b,
  * principal-submatrix system in O(s^3) without touching the rows
  * again — which is what makes M5's greedy term elimination cheap.
  *
- * Numerics policy mirrors solveLeastSquares(): an unregularized solve
- * is attempted first (Cholesky with a relative rank test instead of
- * QR), and rank deficiency or an underdetermined subset falls back to
- * the same escalating-ridge normal equations as solveRidge().
+ * An unregularized Cholesky solve with a relative rank test is tried
+ * first. A rank-deficient subset (an event that never fires inside a
+ * leaf, two identical counters) or an underdetermined one (fewer rows
+ * than unknowns) falls back to ridge: a 1e-8 penalty on the diagonal,
+ * escalated tenfold until the system factors.
  */
 class GramSystem
 {
@@ -86,8 +64,8 @@ class GramSystem
      * @return coefficients for the subset features in order, with the
      *         intercept last (subset.size() + 1 entries).
      */
-    std::vector<double> solveSubset(std::span<const std::size_t> subset,
-                                    double ridge = 1e-8) const;
+    std::vector<double>
+    solveSubset(std::span<const std::size_t> subset) const;
 
   private:
     std::size_t features_;

@@ -1,7 +1,5 @@
 #include "math/matrix.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace mtperf {
@@ -9,30 +7,6 @@ namespace mtperf {
 Matrix::Matrix(std::size_t rows, std::size_t cols, double fill)
     : rows_(rows), cols_(cols), data_(rows * cols, fill)
 {
-}
-
-Matrix
-Matrix::fromRows(const std::vector<std::vector<double>> &rows)
-{
-    if (rows.empty())
-        return Matrix();
-    Matrix m(rows.size(), rows.front().size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        mtperf_assert(rows[r].size() == m.cols_,
-                      "ragged rows in Matrix::fromRows");
-        for (std::size_t c = 0; c < m.cols_; ++c)
-            m(r, c) = rows[r][c];
-    }
-    return m;
-}
-
-Matrix
-Matrix::identity(std::size_t n)
-{
-    Matrix m(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-        m(i, i) = 1.0;
-    return m;
 }
 
 double &
@@ -47,90 +21,6 @@ Matrix::operator()(std::size_t r, std::size_t c) const
 {
     mtperf_assert(r < rows_ && c < cols_, "matrix index out of range");
     return data_[r * cols_ + c];
-}
-
-Matrix
-Matrix::operator*(const Matrix &rhs) const
-{
-    mtperf_assert(cols_ == rhs.rows_, "matrix product dimension mismatch");
-    Matrix out(rows_, rhs.cols_);
-    for (std::size_t i = 0; i < rows_; ++i) {
-        for (std::size_t k = 0; k < cols_; ++k) {
-            const double a = data_[i * cols_ + k];
-            if (a == 0.0)
-                continue;
-            const double *rhs_row = rhs.rowData(k);
-            double *out_row = out.rowData(i);
-            for (std::size_t j = 0; j < rhs.cols_; ++j)
-                out_row[j] += a * rhs_row[j];
-        }
-    }
-    return out;
-}
-
-std::vector<double>
-Matrix::operator*(const std::vector<double> &v) const
-{
-    mtperf_assert(v.size() == cols_, "matrix-vector dimension mismatch");
-    std::vector<double> out(rows_, 0.0);
-    for (std::size_t i = 0; i < rows_; ++i) {
-        const double *row = rowData(i);
-        double acc = 0.0;
-        for (std::size_t j = 0; j < cols_; ++j)
-            acc += row[j] * v[j];
-        out[i] = acc;
-    }
-    return out;
-}
-
-Matrix
-Matrix::operator+(const Matrix &rhs) const
-{
-    mtperf_assert(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-                  "matrix sum dimension mismatch");
-    Matrix out = *this;
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] += rhs.data_[i];
-    return out;
-}
-
-Matrix
-Matrix::operator-(const Matrix &rhs) const
-{
-    mtperf_assert(rows_ == rhs.rows_ && cols_ == rhs.cols_,
-                  "matrix difference dimension mismatch");
-    Matrix out = *this;
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        out.data_[i] -= rhs.data_[i];
-    return out;
-}
-
-Matrix
-Matrix::transposed() const
-{
-    Matrix out(cols_, rows_);
-    for (std::size_t i = 0; i < rows_; ++i)
-        for (std::size_t j = 0; j < cols_; ++j)
-            out(j, i) = data_[i * cols_ + j];
-    return out;
-}
-
-double
-Matrix::frobeniusNorm() const
-{
-    double acc = 0.0;
-    for (double x : data_)
-        acc += x * x;
-    return std::sqrt(acc);
-}
-
-double
-Matrix::maxAbs() const
-{
-    double best = 0.0;
-    for (double x : data_)
-        best = std::max(best, std::abs(x));
-    return best;
 }
 
 } // namespace mtperf

@@ -2,9 +2,9 @@
  * @file
  * A dense row-major matrix of doubles.
  *
- * Deliberately small: the library only needs construction, element
- * access, products, transpose and a few norms to support least-squares
- * fitting and learner internals. No expression templates, no views.
+ * Deliberately small: the Gram/Cholesky least-squares solver only
+ * needs construction and bounds-checked element access. No products,
+ * no expression templates, no views.
  */
 
 #ifndef MTPERF_MATH_MATRIX_H_
@@ -25,49 +25,11 @@ class Matrix
     /** @p rows x @p cols matrix filled with @p fill. */
     Matrix(std::size_t rows, std::size_t cols, double fill = 0.0);
 
-    /**
-     * Build from nested initializer data; all rows must have equal
-     * width.
-     */
-    static Matrix fromRows(
-        const std::vector<std::vector<double>> &rows);
-
-    /** Identity matrix of size @p n. */
-    static Matrix identity(std::size_t n);
-
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
     double &operator()(std::size_t r, std::size_t c);
     double operator()(std::size_t r, std::size_t c) const;
-
-    /** Mutable pointer to the first element of row @p r. */
-    double *rowData(std::size_t r) { return data_.data() + r * cols_; }
-    const double *rowData(std::size_t r) const
-    {
-        return data_.data() + r * cols_;
-    }
-
-    /** Matrix product; dimensions must agree. */
-    Matrix operator*(const Matrix &rhs) const;
-
-    /** Matrix-vector product; @p v must have cols() entries. */
-    std::vector<double> operator*(const std::vector<double> &v) const;
-
-    /** Elementwise sum; dimensions must agree. */
-    Matrix operator+(const Matrix &rhs) const;
-
-    /** Elementwise difference; dimensions must agree. */
-    Matrix operator-(const Matrix &rhs) const;
-
-    /** Transposed copy. */
-    Matrix transposed() const;
-
-    /** Frobenius norm. */
-    double frobeniusNorm() const;
-
-    /** Maximum absolute element. */
-    double maxAbs() const;
 
   private:
     std::size_t rows_ = 0;

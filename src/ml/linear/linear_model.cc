@@ -8,7 +8,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "math/least_squares.h"
 
 namespace mtperf {
 
@@ -17,41 +16,6 @@ LinearModel::constant(double intercept)
 {
     LinearModel m;
     m.intercept_ = intercept;
-    return m;
-}
-
-LinearModel
-LinearModel::fit(const Dataset &ds, std::span<const std::size_t> rows,
-                 std::span<const std::size_t> attrs)
-{
-    mtperf_assert(!rows.empty(), "cannot fit a model on zero rows");
-
-    LinearModel m;
-    if (attrs.empty()) {
-        double acc = 0.0;
-        for (std::size_t r : rows)
-            acc += ds.target(r);
-        m.intercept_ = acc / static_cast<double>(rows.size());
-        return m;
-    }
-
-    // Design matrix: one column per chosen attribute plus an intercept
-    // column of ones.
-    Matrix a(rows.size(), attrs.size() + 1);
-    std::vector<double> b(rows.size());
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto row = ds.row(rows[i]);
-        for (std::size_t j = 0; j < attrs.size(); ++j)
-            a(i, j) = row[attrs[j]];
-        a(i, attrs.size()) = 1.0;
-        b[i] = ds.target(rows[i]);
-    }
-
-    const auto solution = solveLeastSquares(a, b);
-    m.terms_.reserve(attrs.size());
-    for (std::size_t j = 0; j < attrs.size(); ++j)
-        m.terms_.push_back({attrs[j], solution.x[j]});
-    m.intercept_ = solution.x[attrs.size()];
     return m;
 }
 
@@ -100,51 +64,6 @@ LinearModel::meanAbsoluteError(const Dataset &ds,
     return acc / static_cast<double>(rows.size());
 }
 
-double
-LinearModel::compensatedError(const Dataset &ds,
-                              std::span<const std::size_t> rows) const
-{
-    const auto n = static_cast<double>(rows.size());
-    const auto v = static_cast<double>(numParameters());
-    if (n <= v)
-        return std::numeric_limits<double>::infinity();
-    return (n + v) / (n - v) * meanAbsoluteError(ds, rows);
-}
-
-void
-LinearModel::simplify(const Dataset &ds, std::span<const std::size_t> rows)
-{
-    double best_err = compensatedError(ds, rows);
-    while (!terms_.empty()) {
-        // Try removing each surviving term; keep the single removal
-        // that improves the compensated error the most.
-        double best_candidate_err = best_err;
-        std::size_t best_drop = terms_.size();
-        LinearModel best_model;
-
-        for (std::size_t drop = 0; drop < terms_.size(); ++drop) {
-            std::vector<std::size_t> kept;
-            kept.reserve(terms_.size() - 1);
-            for (std::size_t j = 0; j < terms_.size(); ++j) {
-                if (j != drop)
-                    kept.push_back(terms_[j].attr);
-            }
-            LinearModel candidate = fit(ds, rows, kept);
-            const double err = candidate.compensatedError(ds, rows);
-            if (err < best_candidate_err) {
-                best_candidate_err = err;
-                best_drop = drop;
-                best_model = std::move(candidate);
-            }
-        }
-
-        if (best_drop == terms_.size())
-            break;
-        *this = std::move(best_model);
-        best_err = best_candidate_err;
-    }
-}
-
 std::string
 LinearModel::toString(const Schema &schema, int digits) const
 {
@@ -185,6 +104,16 @@ LinearModel::blendWith(const LinearModel &other, double n, double k)
     std::erase_if(terms_, [](const Term &t) { return t.coef == 0.0; });
 }
 
+double
+compensatedError(double mae, std::size_t n, std::size_t v)
+{
+    const auto dn = static_cast<double>(n);
+    const auto dv = static_cast<double>(v);
+    if (dn <= dv)
+        return std::numeric_limits<double>::infinity();
+    return (dn + dv) / (dn - dv) * mae;
+}
+
 LinearModelFitter::LinearModelFitter(const Dataset &ds,
                                      std::span<const std::size_t> rows,
                                      std::vector<std::size_t> attrs)
@@ -214,8 +143,8 @@ LinearModelFitter::fitSubset(std::span<const std::size_t> subset) const
 {
     LinearModel m;
     if (attrs_.empty()) {
-        // Same degenerate path as LinearModel::fit: the mean target,
-        // accumulated in row order.
+        // No attributes to regress on: the mean target, accumulated
+        // in row order.
         double acc = 0.0;
         for (double y : y_)
             acc += y;
@@ -259,8 +188,8 @@ LinearModelFitter::maeOfSubset(const LinearModel &m,
     return acc / static_cast<double>(n_);
 }
 
-double
-LinearModelFitter::meanAbsoluteError(const LinearModel &m) const
+std::vector<std::size_t>
+LinearModelFitter::subsetOf(const LinearModel &m) const
 {
     std::vector<std::size_t> subset;
     subset.reserve(m.terms().size());
@@ -272,38 +201,23 @@ LinearModelFitter::meanAbsoluteError(const LinearModel &m) const
         subset.push_back(
             static_cast<std::size_t>(it - attrs_.begin()));
     }
-    return maeOfSubset(m, subset);
+    return subset;
 }
 
 double
-LinearModelFitter::compensated(double mae, std::size_t parameters) const
+LinearModelFitter::meanAbsoluteError(const LinearModel &m) const
 {
-    const auto n = static_cast<double>(n_);
-    const auto v = static_cast<double>(parameters);
-    if (n <= v)
-        return std::numeric_limits<double>::infinity();
-    return (n + v) / (n - v) * mae;
+    return maeOfSubset(m, subsetOf(m));
 }
 
 void
 LinearModelFitter::simplify(LinearModel &m) const
 {
-    // Greedy elimination, same policy as LinearModel::simplify: per
-    // round, refit with each surviving term dropped and keep the
+    // Per round, refit with each surviving term dropped and keep the
     // single removal that improves the compensated error the most.
-    std::vector<std::size_t> subset;
-    subset.reserve(m.terms().size());
-    for (const auto &term : m.terms()) {
-        const auto it =
-            std::lower_bound(attrs_.begin(), attrs_.end(), term.attr);
-        mtperf_assert(it != attrs_.end() && *it == term.attr,
-                      "model term outside the fitter's attribute set");
-        subset.push_back(
-            static_cast<std::size_t>(it - attrs_.begin()));
-    }
-
+    std::vector<std::size_t> subset = subsetOf(m);
     double best_err =
-        compensated(maeOfSubset(m, subset), m.numParameters());
+        compensatedError(maeOfSubset(m, subset), n_, m.numParameters());
     while (!subset.empty()) {
         double best_candidate_err = best_err;
         std::size_t best_drop = subset.size();
@@ -317,8 +231,9 @@ LinearModelFitter::simplify(LinearModel &m) const
                     kept.push_back(subset[j]);
             }
             LinearModel candidate = fitSubset(kept);
-            const double err = compensated(
-                maeOfSubset(candidate, kept), candidate.numParameters());
+            const double err =
+                compensatedError(maeOfSubset(candidate, kept), n_,
+                                 candidate.numParameters());
             if (err < best_candidate_err) {
                 best_candidate_err = err;
                 best_drop = drop;
@@ -344,9 +259,10 @@ LinearRegression::fit(const Dataset &train)
     std::iota(rows.begin(), rows.end(), 0);
     std::vector<std::size_t> attrs(train.numAttributes());
     std::iota(attrs.begin(), attrs.end(), 0);
-    model_ = LinearModel::fit(train, rows, attrs);
+    LinearModelFitter fitter(train, rows, std::move(attrs));
+    model_ = fitter.fit();
     if (simplify_)
-        model_.simplify(train, rows);
+        fitter.simplify(model_);
 }
 
 double

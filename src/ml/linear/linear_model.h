@@ -3,12 +3,16 @@
  * Multi-variate linear models over dataset attributes.
  *
  * These are the models M5' places at tree nodes: an intercept plus a
- * sparse set of (attribute, coefficient) terms. They support the M5
- * machinery — least-squares fitting over a row subset, the pessimistic
- * (n+v)/(n-v) error compensation, and greedy term elimination — and
- * render themselves the way the paper prints them, e.g.
+ * sparse set of (attribute, coefficient) terms, rendered the way the
+ * paper prints them, e.g.
  *
  *   CPI = 0.52 + 139.91 * ItlbM + 2.22 * DtlbL0LdM + 6.69 * L1IM
+ *
+ * LinearModelFitter is the one way a LinearModel is fitted — M5' node
+ * models, the M5Rules default rule and the LinearRegression baseline
+ * all go through it: least squares over a row subset (GramSystem, see
+ * math/least_squares.h for its numerical assumptions) and M5's greedy
+ * term elimination under the pessimistic error compensatedError().
  */
 
 #ifndef MTPERF_ML_LINEAR_LINEAR_MODEL_H_
@@ -38,16 +42,6 @@ class LinearModel
     /** Constant model predicting @p intercept. */
     static LinearModel constant(double intercept);
 
-    /**
-     * Ordinary least squares over the rows of @p ds selected by
-     * @p rows, using only the attributes in @p attrs. Falls back to
-     * ridge when the system is rank-deficient (e.g., an event that
-     * never fires inside a leaf).
-     */
-    static LinearModel fit(const Dataset &ds,
-                           std::span<const std::size_t> rows,
-                           std::span<const std::size_t> attrs);
-
     double intercept() const { return intercept_; }
     void setIntercept(double b) { intercept_ = b; }
     const std::vector<Term> &terms() const { return terms_; }
@@ -67,23 +61,6 @@ class LinearModel
     /** Mean absolute residual over @p rows of @p ds. */
     double meanAbsoluteError(const Dataset &ds,
                              std::span<const std::size_t> rows) const;
-
-    /**
-     * M5's pessimistic error estimate: MAE scaled by (n+v)/(n-v)
-     * where v is the number of fitted parameters (terms + intercept).
-     * Returns +inf when n <= v, so over-parameterized models always
-     * lose pruning comparisons.
-     */
-    double compensatedError(const Dataset &ds,
-                            std::span<const std::size_t> rows) const;
-
-    /**
-     * Greedily drop terms while doing so lowers the compensated error
-     * (refitting the survivors after each drop). This is M5's model
-     * simplification step; it trades a slightly larger raw residual
-     * for fewer parameters.
-     */
-    void simplify(const Dataset &ds, std::span<const std::size_t> rows);
 
     /** Number of fitted parameters (terms + intercept). */
     std::size_t numParameters() const { return terms_.size() + 1; }
@@ -108,14 +85,22 @@ class LinearModel
 };
 
 /**
- * One node's fitting context: gathers the node's rows once (targets
- * and the chosen attribute columns, column-major) and accumulates the
- * GramSystem over them, so the node's base fit and every candidate
- * refit during M5 simplification are solved from sufficient
- * statistics in O(k^3) instead of re-touching the rows with an
- * O(n k^2) QR factorization per candidate. Error evaluation stays
- * exact — MAE is L1 and must visit rows — but runs over the gathered
- * contiguous columns in the same accumulation order as
+ * M5's pessimistic error estimate: @p mae scaled by (n+v)/(n-v) for
+ * @p v fitted parameters charged against @p n instances. Returns +inf
+ * when n <= v, so over-parameterized models always lose pruning
+ * comparisons. Every term-elimination and prune decision (M5', CART)
+ * goes through this one definition.
+ */
+double compensatedError(double mae, std::size_t n, std::size_t v);
+
+/**
+ * One fitting context: gathers the rows once (targets and the chosen
+ * attribute columns, column-major) and accumulates the GramSystem over
+ * them, so the base fit and every candidate refit during M5
+ * simplification are solved from sufficient statistics in O(k^3)
+ * without re-touching the rows. Error evaluation stays exact — MAE is
+ * L1 and must visit rows — but runs over the gathered contiguous
+ * columns in the same accumulation order as
  * LinearModel::meanAbsoluteError, so the two agree bit-for-bit.
  *
  * One instance serves one (row set, attribute superset) pair; it is
@@ -133,9 +118,10 @@ class LinearModelFitter
     LinearModel fit() const;
 
     /**
-     * M5's greedy term elimination (same policy as
-     * LinearModel::simplify), with every candidate refit solved from
-     * the Gram system. @p m must have been produced by fit() or a
+     * M5's model simplification: greedily drop terms while doing so
+     * lowers compensatedError(), refitting the survivors from the Gram
+     * system after each drop. Trades a slightly larger raw residual
+     * for fewer parameters. @p m must have been produced by fit() or a
      * previous simplify() over this fitter.
      */
     void simplify(LinearModel &m) const;
@@ -146,10 +132,11 @@ class LinearModelFitter
     std::size_t rowCount() const { return n_; }
 
   private:
+    /** Positions in attrs_ of @p m's terms, in term order. */
+    std::vector<std::size_t> subsetOf(const LinearModel &m) const;
     LinearModel fitSubset(std::span<const std::size_t> subset) const;
     double maeOfSubset(const LinearModel &m,
                        std::span<const std::size_t> subset) const;
-    double compensated(double mae, std::size_t parameters) const;
 
     std::vector<std::size_t> attrs_;
     std::size_t n_;

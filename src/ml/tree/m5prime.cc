@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <fstream>
 #include <iterator>
 #include <numeric>
@@ -333,18 +332,6 @@ M5Prime::SubtreeCost
 M5Prime::pruneNode(std::unique_ptr<Node> &node_ptr)
 {
     Node &node = *node_ptr;
-    const auto n = static_cast<double>(node.count);
-
-    // Quinlan's pessimistic compensation, charging v parameters
-    // against n instances. Subtrees are charged for every leaf-model
-    // parameter *and* every split threshold below the node, so deep
-    // structure must buy a real residual reduction to survive.
-    auto compensated = [n](double raw_mae, std::size_t v) {
-        const auto dv = static_cast<double>(v);
-        if (n <= dv)
-            return std::numeric_limits<double>::infinity();
-        return (n + dv) / (n - dv) * raw_mae;
-    };
 
     if (node.leaf) {
         // modelMae was cached by fitNodeModel over exactly these rows
@@ -362,10 +349,14 @@ M5Prime::pruneNode(std::unique_ptr<Node> &node_ptr)
     subtree.rawMae = (nl * left.rawMae + nr * right.rawMae) / (nl + nr);
     subtree.parameters = left.parameters + right.parameters + 1;
 
+    // Quinlan's pessimistic compensation. Subtrees are charged for
+    // every leaf-model parameter *and* every split threshold below the
+    // node, so deep structure must buy a real residual reduction to
+    // survive.
     const double subtree_err =
-        compensated(subtree.rawMae, subtree.parameters);
-    const double node_err =
-        compensated(node.modelMae, node.model.numParameters());
+        compensatedError(subtree.rawMae, node.count, subtree.parameters);
+    const double node_err = compensatedError(
+        node.modelMae, node.count, node.model.numParameters());
 
     if (options_.prune && node_err <= subtree_err) {
         node.leaf = true;

@@ -68,14 +68,11 @@ M5Rules::fit(const Dataset &train)
 
         Dataset subset = train.subset(remaining);
         if (rule_budget_spent || too_small) {
+            // The default rule: one linear model over everything left.
+            LinearRegression global(options_.treeOptions.simplifyModels);
+            global.fit(subset);
             M5Rule default_rule;
-            std::vector<std::size_t> rows(subset.size());
-            std::iota(rows.begin(), rows.end(), 0);
-            std::vector<std::size_t> attrs(subset.numAttributes());
-            std::iota(attrs.begin(), attrs.end(), 0);
-            default_rule.model = LinearModel::fit(subset, rows, attrs);
-            if (options_.treeOptions.simplifyModels)
-                default_rule.model.simplify(subset, rows);
+            default_rule.model = global.model();
             default_rule.covered = subset.size();
             rules_.push_back(std::move(default_rule));
             return;

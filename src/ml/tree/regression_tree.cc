@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <numeric>
 #include <vector>
 
 #include "common/logging.h"
+#include "ml/linear/linear_model.h"
 #include "ml/tree/split_search.h"
 
 namespace mtperf {
@@ -151,21 +151,12 @@ RegressionTree::SubtreeCost
 RegressionTree::pruneNode(Node &node)
 {
     const Dataset &ds = *trainData_;
-    const auto n = static_cast<double>(node.count);
 
     auto raw_mae = [&ds](const Node &nd) {
         double mae = 0.0;
         for (std::size_t r : nd.rows)
             mae += std::abs(ds.target(r) - nd.meanTarget);
         return mae / static_cast<double>(nd.count);
-    };
-    // Pessimistic compensation charging v parameters (leaf means and
-    // split thresholds in the subtree) against n instances.
-    auto compensated = [n](double raw, std::size_t v) {
-        const auto dv = static_cast<double>(v);
-        if (n <= dv)
-            return std::numeric_limits<double>::infinity();
-        return (n + dv) / (n - dv) * raw;
     };
 
     if (node.leaf)
@@ -180,9 +171,11 @@ RegressionTree::pruneNode(Node &node)
     subtree.rawMae = (nl * left.rawMae + nr * right.rawMae) / (nl + nr);
     subtree.parameters = left.parameters + right.parameters + 1;
 
+    // Pessimistic compensation charging the subtree's leaf means and
+    // split thresholds against the node's instances.
     const double subtree_err =
-        compensated(subtree.rawMae, subtree.parameters);
-    const double node_err = compensated(raw_mae(node), 1);
+        compensatedError(subtree.rawMae, node.count, subtree.parameters);
+    const double node_err = compensatedError(raw_mae(node), node.count, 1);
 
     if (node_err <= subtree_err) {
         node.leaf = true;

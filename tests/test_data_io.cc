@@ -61,6 +61,28 @@ TEST(DatasetCsv, NonNumericCellThrows)
     EXPECT_THROW(readDatasetCsv(in, "y"), FatalError);
 }
 
+TEST(DatasetCsv, NonNumericCellErrorNamesTheCell)
+{
+    std::istringstream in("a,b,y\n1,2,3\n4,x5,6\n");
+    try {
+        readDatasetCsv(in, "y");
+        FAIL() << "expected a FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "cannot parse 'x5' as a number (<csv>:3:field 2 (b))"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(DatasetCsv, PaddedCellsParse)
+{
+    std::istringstream in("a,y\n 1.5 ,\t2\n");
+    const Dataset ds = readDatasetCsv(in, "y");
+    EXPECT_DOUBLE_EQ(ds.value(0, 0), 1.5);
+    EXPECT_DOUBLE_EQ(ds.target(0), 2.0);
+}
+
 TEST(DatasetCsv, NoTagColumnDefaultsToEmpty)
 {
     std::istringstream in("a,y\n1,2\n");

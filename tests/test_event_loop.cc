@@ -17,6 +17,10 @@
 #include <string>
 #include <thread>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -263,6 +267,37 @@ TEST(EventLoopAdopt, CrossThreadAdoptOntoListenerlessLoop)
     EXPECT_EQ(loop.numConnections(), 1u);
     loop.stop();
     EXPECT_EQ(loop.numConnections(), 0u);
+}
+
+TEST(EventLoopAccept, AcceptedSocketsDisableNagle)
+{
+    // A reply held back by Nagle waits for the client's delayed ACK
+    // (hundreds of microseconds on loopback); both accept paths must
+    // hand out sockets with TCP_NODELAY set.
+    auto nodelay = [](const net::Socket &sock) {
+        int value = 0;
+        socklen_t len = sizeof(value);
+        EXPECT_EQ(::getsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY,
+                               &value, &len),
+                  0);
+        return value != 0;
+    };
+    std::uint16_t port = 0;
+    net::Socket listener = net::listenTcp("127.0.0.1", 0, &port);
+    const auto endpoint =
+        net::parseEndpoint("127.0.0.1:" + std::to_string(port), 0);
+
+    net::Socket blocking_client = net::connectTo(endpoint, 2000);
+    EXPECT_TRUE(nodelay(net::acceptOn(listener)));
+
+    net::setNonBlocking(listener.fd());
+    net::Socket polled_client = net::connectTo(endpoint, 2000);
+    net::Socket accepted;
+    ASSERT_TRUE(eventually([&] {
+        accepted = net::acceptNonBlocking(listener);
+        return accepted.valid();
+    }));
+    EXPECT_TRUE(nodelay(accepted));
 }
 
 TEST(EventLoopStop, StopIsIdempotentAndClosesConnections)

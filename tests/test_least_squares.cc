@@ -1,174 +1,183 @@
 /**
  * @file
- * Tests for the least-squares solvers.
+ * Tests for the Gram/Cholesky least-squares solver.
  */
 
 #include <cmath>
+#include <numeric>
 
 #include <gtest/gtest.h>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "math/least_squares.h"
 
 namespace mtperf {
 namespace {
 
+/** Fold row-major feature rows @p x and targets @p y into a system. */
+GramSystem
+gramOf(const std::vector<std::vector<double>> &x,
+       const std::vector<double> &y)
+{
+    GramSystem gram(x.front().size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+        gram.addRow(x[i].data(), y[i]);
+    return gram;
+}
+
+std::vector<std::size_t>
+allFeatures(const GramSystem &gram)
+{
+    std::vector<std::size_t> subset(gram.features());
+    std::iota(subset.begin(), subset.end(), 0);
+    return subset;
+}
+
 TEST(LeastSquares, SolvesSquareSystemExactly)
 {
-    const auto a = Matrix::fromRows({{2, 1}, {1, 3}});
-    const std::vector<double> b = {5, 10};
-    const auto result = solveLeastSquares(a, b);
-    ASSERT_EQ(result.x.size(), 2u);
-    EXPECT_FALSE(result.regularized);
-    EXPECT_NEAR(result.x[0], 1.0, 1e-9);
-    EXPECT_NEAR(result.x[1], 3.0, 1e-9);
+    // Three rows, two features plus the intercept: one exact solution,
+    // y = 1 x1 + 3 x2 + 0.5.
+    const auto gram =
+        gramOf({{2, 1}, {1, 3}, {1, 1}}, {5.5, 10.5, 4.5});
+    const auto x = gram.solveSubset(allFeatures(gram));
+    ASSERT_EQ(x.size(), 3u);
+    EXPECT_NEAR(x[0], 1.0, 1e-9);
+    EXPECT_NEAR(x[1], 3.0, 1e-9);
+    EXPECT_NEAR(x[2], 0.5, 1e-9);
 }
 
 TEST(LeastSquares, RecoversPlantedCoefficients)
 {
     // y = 3 x1 - 2 x2 + 0.5, exactly.
     Rng rng(99);
-    Matrix a(200, 3);
-    std::vector<double> b(200);
+    GramSystem gram(2);
     for (std::size_t i = 0; i < 200; ++i) {
-        const double x1 = rng.uniform(-1, 1);
-        const double x2 = rng.uniform(-1, 1);
-        a(i, 0) = x1;
-        a(i, 1) = x2;
-        a(i, 2) = 1.0;
-        b[i] = 3.0 * x1 - 2.0 * x2 + 0.5;
+        const double row[2] = {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        gram.addRow(row, 3.0 * row[0] - 2.0 * row[1] + 0.5);
     }
-    const auto result = solveLeastSquares(a, b);
-    EXPECT_NEAR(result.x[0], 3.0, 1e-8);
-    EXPECT_NEAR(result.x[1], -2.0, 1e-8);
-    EXPECT_NEAR(result.x[2], 0.5, 1e-8);
+    const auto x = gram.solveSubset(allFeatures(gram));
+    EXPECT_NEAR(x[0], 3.0, 1e-8);
+    EXPECT_NEAR(x[1], -2.0, 1e-8);
+    EXPECT_NEAR(x[2], 0.5, 1e-8);
 }
 
 TEST(LeastSquares, ResidualOrthogonalToColumns)
 {
-    // The defining property of the LS solution: A^T (b - A x) = 0.
+    // The defining property of the LS solution, whatever the solver:
+    // X^T (y - X b) = 0 over the chosen columns and the intercept.
     Rng rng(7);
-    Matrix a(50, 4);
-    std::vector<double> b(50);
+    std::vector<std::vector<double>> rows(50, std::vector<double>(4));
+    std::vector<double> y(50);
     for (std::size_t i = 0; i < 50; ++i) {
-        for (std::size_t j = 0; j < 4; ++j)
-            a(i, j) = rng.normal();
-        b[i] = rng.normal();
+        for (double &v : rows[i])
+            v = rng.normal();
+        y[i] = rng.normal();
     }
-    const auto result = solveLeastSquares(a, b);
-    const auto pred = a * result.x;
-    for (std::size_t j = 0; j < 4; ++j) {
-        double dot = 0.0;
-        for (std::size_t i = 0; i < 50; ++i)
-            dot += a(i, j) * (b[i] - pred[i]);
-        EXPECT_NEAR(dot, 0.0, 1e-8);
+    const auto gram = gramOf(rows, y);
+    for (const std::vector<std::size_t> &subset :
+         {std::vector<std::size_t>{0, 1, 2, 3},
+          std::vector<std::size_t>{1, 3}}) {
+        const auto x = gram.solveSubset(subset);
+        std::vector<double> dots(subset.size() + 1, 0.0);
+        for (std::size_t i = 0; i < 50; ++i) {
+            double fitted = x[subset.size()];
+            for (std::size_t j = 0; j < subset.size(); ++j)
+                fitted += x[j] * rows[i][subset[j]];
+            const double r = y[i] - fitted;
+            for (std::size_t j = 0; j < subset.size(); ++j)
+                dots[j] += rows[i][subset[j]] * r;
+            dots[subset.size()] += r;
+        }
+        for (double dot : dots)
+            EXPECT_NEAR(dot, 0.0, 1e-10);
     }
 }
 
 TEST(LeastSquares, RankDeficientFallsBackToRidge)
 {
-    // Second column is an exact copy of the first.
-    Matrix a(10, 2);
-    std::vector<double> b(10);
+    // The second column is an exact copy of the first.
+    std::vector<std::vector<double>> rows;
+    std::vector<double> y;
     for (std::size_t i = 0; i < 10; ++i) {
-        a(i, 0) = static_cast<double>(i);
-        a(i, 1) = static_cast<double>(i);
-        b[i] = 2.0 * static_cast<double>(i);
+        const auto v = static_cast<double>(i);
+        rows.push_back({v, v});
+        y.push_back(2.0 * v);
     }
-    const auto result = solveLeastSquares(a, b);
-    EXPECT_TRUE(result.regularized);
+    const auto gram = gramOf(rows, y);
+    const auto x = gram.solveSubset(allFeatures(gram));
     // Ridge splits the weight across the duplicated columns; the
-    // prediction should still be right.
-    EXPECT_NEAR(result.x[0] + result.x[1], 2.0, 1e-3);
+    // prediction is still right.
+    EXPECT_NEAR(x[0], 1.0, 1e-6);
+    EXPECT_NEAR(x[0] + x[1], 2.0, 1e-6);
+    EXPECT_NEAR(x[2], 0.0, 1e-6);
 }
 
 TEST(LeastSquares, ZeroColumnFallsBackToRidge)
 {
-    Matrix a(5, 2);
-    std::vector<double> b(5, 1.0);
-    for (std::size_t i = 0; i < 5; ++i)
-        a(i, 0) = 1.0; // column 1 stays all-zero
-    const auto result = solveLeastSquares(a, b);
-    EXPECT_TRUE(result.regularized);
-    EXPECT_NEAR(result.x[0], 1.0, 1e-3);
-    EXPECT_NEAR(result.x[1], 0.0, 1e-3);
+    // Column 1 stays all-zero, as an event that never fires does.
+    std::vector<std::vector<double>> rows;
+    std::vector<double> y;
+    for (std::size_t i = 0; i < 5; ++i) {
+        const auto v = static_cast<double>(i);
+        rows.push_back({v, 0.0});
+        y.push_back(2.0 * v + 1.0);
+    }
+    const auto gram = gramOf(rows, y);
+    const auto x = gram.solveSubset(allFeatures(gram));
+    EXPECT_NEAR(x[0], 2.0, 1e-6);
+    EXPECT_EQ(x[1], 0.0);
+    EXPECT_NEAR(x[2], 1.0, 1e-6);
 }
 
 TEST(LeastSquares, UnderdeterminedUsesRidge)
 {
-    Matrix a(2, 3, 1.0);
-    a(0, 1) = 2.0;
-    const std::vector<double> b = {1.0, 2.0};
-    const auto result = solveLeastSquares(a, b);
-    EXPECT_TRUE(result.regularized);
-    ASSERT_EQ(result.x.size(), 3u);
-}
-
-TEST(LeastSquares, EmptyColumnsYieldEmptySolution)
-{
-    Matrix a(3, 0);
-    const std::vector<double> b = {1, 2, 3};
-    const auto result = solveLeastSquares(a, b);
-    EXPECT_TRUE(result.x.empty());
-}
-
-TEST(LeastSquares, DimensionMismatchThrows)
-{
-    Matrix a(3, 2);
-    const std::vector<double> b = {1, 2};
-    EXPECT_THROW(solveLeastSquares(a, b), FatalError);
-}
-
-TEST(SolveRidge, ShrinksTowardZero)
-{
-    Matrix a(20, 1);
-    std::vector<double> b(20);
-    for (std::size_t i = 0; i < 20; ++i) {
-        a(i, 0) = 1.0;
-        b[i] = 4.0;
+    // Two rows cannot pin down three coefficients and an intercept;
+    // ridge picks one solution, and it must still fit both rows.
+    const std::vector<std::vector<double>> rows = {{1, 2, 1}, {1, 1, 1}};
+    const std::vector<double> y = {1.0, 2.0};
+    const auto gram = gramOf(rows, y);
+    const auto x = gram.solveSubset(allFeatures(gram));
+    ASSERT_EQ(x.size(), 4u);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        double fitted = x[3];
+        for (std::size_t j = 0; j < 3; ++j) {
+            ASSERT_TRUE(std::isfinite(x[j]));
+            fitted += x[j] * rows[i][j];
+        }
+        EXPECT_NEAR(fitted, y[i], 1e-6);
     }
-    const auto small = solveRidge(a, b, 1e-9);
-    const auto large = solveRidge(a, b, 1e3);
-    EXPECT_NEAR(small[0], 4.0, 1e-6);
-    EXPECT_LT(large[0], small[0]);
-    EXPECT_GT(large[0], 0.0);
 }
 
-TEST(SolveRidge, MatchesQrOnWellPosedSystem)
+TEST(LeastSquares, EmptySubsetFitsTheMean)
 {
-    Rng rng(3);
-    Matrix a(100, 3);
-    std::vector<double> b(100);
-    for (std::size_t i = 0; i < 100; ++i) {
-        for (std::size_t j = 0; j < 3; ++j)
-            a(i, j) = rng.normal();
-        b[i] = rng.normal();
-    }
-    const auto qr = solveLeastSquares(a, b);
-    const auto ridge = solveRidge(a, b, 1e-10);
-    for (std::size_t j = 0; j < 3; ++j)
-        EXPECT_NEAR(qr.x[j], ridge[j], 1e-5);
+    const auto gram = gramOf({{5}, {-1}, {2}}, {1, 2, 6});
+    const auto x = gram.solveSubset({});
+    ASSERT_EQ(x.size(), 1u);
+    EXPECT_NEAR(x[0], 3.0, 1e-12);
 }
 
 TEST(LeastSquares, BadlyScaledColumnsStillSolve)
 {
-    // Columns spanning 12 orders of magnitude, as raw event ratios do.
+    // Columns five orders of magnitude apart, wider than the Table-I
+    // ratio columns span; six orders is where the rank test starts to
+    // read the small column as missing (math/least_squares.h).
     Rng rng(13);
-    Matrix a(300, 3);
-    std::vector<double> b(300);
+    GramSystem gram(2);
     for (std::size_t i = 0; i < 300; ++i) {
-        const double x1 = rng.uniform() * 1e-6;
-        const double x2 = rng.uniform() * 1e6;
-        a(i, 0) = x1;
-        a(i, 1) = x2;
-        a(i, 2) = 1.0;
-        b[i] = 2e6 * x1 + 3e-6 * x2 + 1.0;
+        const double row[2] = {rng.uniform() * 1e-3, rng.uniform() * 1e2};
+        gram.addRow(row, 2e3 * row[0] + 3e-2 * row[1] + 1.0);
     }
-    const auto result = solveLeastSquares(a, b);
-    EXPECT_NEAR(result.x[0], 2e6, 1e-2);
-    EXPECT_NEAR(result.x[1], 3e-6, 1e-10);
-    EXPECT_NEAR(result.x[2], 1.0, 1e-6);
+    const auto x = gram.solveSubset(allFeatures(gram));
+    EXPECT_NEAR(x[0], 2e3, 2e3 * 1e-10);
+    EXPECT_NEAR(x[1], 3e-2, 3e-2 * 1e-10);
+    EXPECT_NEAR(x[2], 1.0, 1e-10);
+}
+
+TEST(LeastSquaresDeathTest, SubsetIndexOutOfRangeAborts)
+{
+    const auto gram = gramOf({{1, 2}, {3, 4}, {5, 7}}, {1, 2, 3});
+    const std::vector<std::size_t> subset = {0, 2};
+    EXPECT_DEATH((void)gram.solveSubset(subset), "out of range");
 }
 
 } // namespace

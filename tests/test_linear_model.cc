@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for LinearModel and the LinearRegression baseline.
+ * Tests for LinearModel, its fitter and the LinearRegression baseline.
  */
 
 #include <cmath>
@@ -40,6 +40,32 @@ allRows(const Dataset &ds)
     return rows;
 }
 
+/** Least squares over all rows of @p ds on @p attrs. */
+LinearModel
+fitOn(const Dataset &ds, std::vector<std::size_t> attrs)
+{
+    return LinearModelFitter(ds, allRows(ds), std::move(attrs)).fit();
+}
+
+/**
+ * Residual orthogonality X^T (y - X b) = 0 over @p m's terms and the
+ * intercept: the optimality condition of least squares, independent of
+ * how the solution was computed.
+ */
+void
+expectNormalEquationsHold(const Dataset &ds, const LinearModel &m)
+{
+    std::vector<double> dots(m.terms().size() + 1, 0.0);
+    for (std::size_t r = 0; r < ds.size(); ++r) {
+        const double resid = ds.target(r) - m.predict(ds.row(r));
+        for (std::size_t j = 0; j < m.terms().size(); ++j)
+            dots[j] += ds.value(r, m.terms()[j].attr) * resid;
+        dots.back() += resid;
+    }
+    for (double dot : dots)
+        EXPECT_NEAR(dot, 0.0, 1e-9);
+}
+
 TEST(LinearModel, ConstantModel)
 {
     const auto m = LinearModel::constant(2.5);
@@ -52,9 +78,7 @@ TEST(LinearModel, ConstantModel)
 TEST(LinearModel, FitRecoversPlantedCoefficients)
 {
     const Dataset ds = plantedDataset(300, 0.0);
-    const auto rows = allRows(ds);
-    const std::vector<std::size_t> attrs = {0, 1, 2};
-    const auto m = LinearModel::fit(ds, rows, attrs);
+    const auto m = fitOn(ds, {0, 1, 2});
     EXPECT_NEAR(m.coefficient(0), 2.0, 1e-8);
     EXPECT_NEAR(m.coefficient(1), -3.0, 1e-8);
     EXPECT_NEAR(m.coefficient(2), 0.0, 1e-8);
@@ -64,9 +88,7 @@ TEST(LinearModel, FitRecoversPlantedCoefficients)
 TEST(LinearModel, FitWithAttributeSubset)
 {
     const Dataset ds = plantedDataset(300, 0.0);
-    const auto rows = allRows(ds);
-    const std::vector<std::size_t> attrs = {1};
-    const auto m = LinearModel::fit(ds, rows, attrs);
+    const auto m = fitOn(ds, {1});
     EXPECT_EQ(m.terms().size(), 1u);
     EXPECT_EQ(m.terms()[0].attr, 1u);
     EXPECT_NEAR(m.coefficient(1), -3.0, 0.3);
@@ -78,8 +100,7 @@ TEST(LinearModel, EmptyAttrsFitsMean)
     Dataset ds(Schema(std::vector<std::string>{"x"}, "y"));
     ds.addRow(std::vector<double>{0.0}, 2.0);
     ds.addRow(std::vector<double>{1.0}, 4.0);
-    const auto rows = allRows(ds);
-    const auto m = LinearModel::fit(ds, rows, {});
+    const auto m = fitOn(ds, {});
     EXPECT_DOUBLE_EQ(m.intercept(), 3.0);
 }
 
@@ -96,31 +117,27 @@ TEST(LinearModel, MeanAbsoluteError)
 TEST(LinearModel, CompensatedErrorExceedsRawError)
 {
     const Dataset ds = plantedDataset(50, 0.5);
-    const auto rows = allRows(ds);
-    const auto m =
-        LinearModel::fit(ds, rows, std::vector<std::size_t>{0, 1, 2});
-    EXPECT_GT(m.compensatedError(ds, rows),
-              m.meanAbsoluteError(ds, rows));
+    const auto m = fitOn(ds, {0, 1, 2});
+    const double mae = m.meanAbsoluteError(ds, allRows(ds));
+    EXPECT_GT(compensatedError(mae, ds.size(), m.numParameters()), mae);
+    // 50 instances against 4 parameters: (50 + 4) / (50 - 4) x MAE.
+    EXPECT_DOUBLE_EQ(compensatedError(2.0, 50, 4), 2.0 * 54.0 / 46.0);
 }
 
 TEST(LinearModel, CompensatedErrorInfiniteWhenOverParameterized)
 {
-    Dataset ds(Schema(std::vector<std::string>{"x1", "x2"}, "y"));
-    ds.addRow(std::vector<double>{1, 2}, 1.0);
-    ds.addRow(std::vector<double>{2, 1}, 2.0);
-    const auto rows = allRows(ds);
-    const auto m =
-        LinearModel::fit(ds, rows, std::vector<std::size_t>{0, 1});
-    EXPECT_TRUE(std::isinf(m.compensatedError(ds, rows)));
+    // Two rows against three parameters (two terms + intercept).
+    EXPECT_TRUE(std::isinf(compensatedError(0.5, 2, 3)));
+    EXPECT_TRUE(std::isinf(compensatedError(0.5, 3, 3)));
+    EXPECT_FALSE(std::isinf(compensatedError(0.5, 4, 3)));
 }
 
 TEST(LinearModel, SimplifyDropsNoiseTerm)
 {
     const Dataset ds = plantedDataset(200, 0.3);
-    const auto rows = allRows(ds);
-    auto m =
-        LinearModel::fit(ds, rows, std::vector<std::size_t>{0, 1, 2});
-    m.simplify(ds, rows);
+    LinearModelFitter fitter(ds, allRows(ds), {0, 1, 2});
+    auto m = fitter.fit();
+    fitter.simplify(m);
     // The pure-noise attribute x3 should have been eliminated; the
     // real predictors should survive.
     EXPECT_DOUBLE_EQ(m.coefficient(2), 0.0);
@@ -132,10 +149,10 @@ TEST(LinearModel, SimplifyKeepsPerfectFitIntact)
 {
     const Dataset ds = plantedDataset(200, 0.0);
     const auto rows = allRows(ds);
-    auto m =
-        LinearModel::fit(ds, rows, std::vector<std::size_t>{0, 1});
+    LinearModelFitter fitter(ds, rows, {0, 1});
+    auto m = fitter.fit();
     const double before = m.meanAbsoluteError(ds, rows);
-    m.simplify(ds, rows);
+    fitter.simplify(m);
     EXPECT_EQ(m.terms().size(), 2u);
     EXPECT_NEAR(m.meanAbsoluteError(ds, rows), before, 1e-9);
 }
@@ -152,9 +169,7 @@ TEST(LinearModel, ToStringFormat)
         const double a = rng.uniform(), b = rng.uniform();
         ds.addRow(std::vector<double>{a, b}, 139.91 * a - 6.69 * b + 0.52);
     }
-    const auto fit = LinearModel::fit(
-        ds, allRows(ds), std::vector<std::size_t>{0, 1});
-    const std::string text = fit.toString(schema, 2);
+    const std::string text = fitOn(ds, {0, 1}).toString(schema, 2);
     EXPECT_EQ(text, "CPI = 0.52 + 139.91 * ItlbM - 6.69 * L1IM");
 }
 
@@ -175,17 +190,15 @@ TEST(LinearModel, BlendWithMergesTerms)
         const double u = rng.uniform(), v = rng.uniform();
         ds.addRow(std::vector<double>{u, v}, 2 * u + 4 * v);
     }
-    const auto rows = allRows(ds);
-    auto mu = LinearModel::fit(ds, rows, std::vector<std::size_t>{0});
-    const auto mv = LinearModel::fit(ds, rows, std::vector<std::size_t>{1});
+    auto mu = fitOn(ds, {0});
+    const auto mv = fitOn(ds, {1});
     mu.blendWith(mv, 10.0, 30.0); // weights 0.25 / 0.75
     // mu has a u-term scaled by 0.25 and gains v scaled by 0.75.
     EXPECT_NE(mu.coefficient(0), 0.0);
     EXPECT_NE(mu.coefficient(1), 0.0);
     // Prediction equals the weighted blend of the two models.
     const std::vector<double> x{0.3, 0.7};
-    const auto mu_fresh =
-        LinearModel::fit(ds, rows, std::vector<std::size_t>{0});
+    const auto mu_fresh = fitOn(ds, {0});
     EXPECT_NEAR(mu.predict(x),
                 0.25 * mu_fresh.predict(x) + 0.75 * mv.predict(x),
                 1e-12);
@@ -220,23 +233,30 @@ TEST(LinearRegression, EmptyTrainingThrows)
 
 TEST(LinearModelFitter, AgreesWithDirectFit)
 {
+    // The fitter on a row subset and an attribute subset must be the
+    // least-squares solution over exactly those rows and attributes:
+    // residuals orthogonal to every term and the intercept, and the
+    // same bits as a GramSystem folded directly from those rows.
     const Dataset ds = plantedDataset(300, 0.2);
-    std::vector<std::size_t> rows(ds.size());
-    std::iota(rows.begin(), rows.end(), 0);
-    const std::vector<std::size_t> attrs{0, 1, 2};
+    std::vector<std::size_t> rows;
+    for (std::size_t r = 0; r < ds.size(); r += 2)
+        rows.push_back(r);
+    const std::vector<std::size_t> attrs{0, 2};
 
-    const LinearModel direct = LinearModel::fit(ds, rows, attrs);
-    LinearModelFitter fitter(ds, rows, attrs);
-    const LinearModel via_gram = fitter.fit();
+    const LinearModel m = LinearModelFitter(ds, rows, attrs).fit();
+    ASSERT_EQ(m.terms().size(), attrs.size());
+    expectNormalEquationsHold(ds.subset(rows), m);
 
-    // QR vs Gram/Cholesky round differently; on a well-conditioned
-    // system the solutions agree to many digits.
-    ASSERT_EQ(via_gram.terms().size(), direct.terms().size());
-    EXPECT_NEAR(via_gram.intercept(), direct.intercept(), 1e-8);
-    for (std::size_t j = 0; j < attrs.size(); ++j) {
-        EXPECT_NEAR(via_gram.coefficient(attrs[j]),
-                    direct.coefficient(attrs[j]), 1e-8);
+    GramSystem direct(attrs.size());
+    for (std::size_t r : rows) {
+        const double vals[2] = {ds.value(r, 0), ds.value(r, 2)};
+        direct.addRow(vals, ds.target(r));
     }
+    const std::vector<std::size_t> both{0, 1};
+    const auto x = direct.solveSubset(both);
+    EXPECT_EQ(m.coefficient(0), x[0]);
+    EXPECT_EQ(m.coefficient(2), x[1]);
+    EXPECT_EQ(m.intercept(), x[2]);
 }
 
 TEST(LinearModelFitter, MaeMatchesModelEvaluationBitwise)
@@ -256,21 +276,16 @@ TEST(LinearModelFitter, MaeMatchesModelEvaluationBitwise)
 TEST(LinearModelFitter, SimplifyDropsPlantedNoiseTerm)
 {
     // x3 carries no signal; greedy elimination under the compensated
-    // error must drop it, matching LinearModel::simplify's policy.
+    // error must drop it, and the survivors must be refit — the least-
+    // squares solution over the kept terms, not the full fit's
+    // coefficients with one term deleted.
     const Dataset ds = plantedDataset(300, 0.2);
-    std::vector<std::size_t> rows(ds.size());
-    std::iota(rows.begin(), rows.end(), 0);
-    LinearModelFitter fitter(ds, rows, {0, 1, 2});
+    LinearModelFitter fitter(ds, allRows(ds), {0, 1, 2});
     LinearModel m = fitter.fit();
     fitter.simplify(m);
+    ASSERT_EQ(m.terms().size(), 2u);
     EXPECT_DOUBLE_EQ(m.coefficient(2), 0.0);
-
-    const std::vector<std::size_t> all_attrs{0, 1, 2};
-    LinearModel reference = LinearModel::fit(ds, rows, all_attrs);
-    reference.simplify(ds, rows);
-    ASSERT_EQ(m.terms().size(), reference.terms().size());
-    for (const auto &term : reference.terms())
-        EXPECT_NEAR(m.coefficient(term.attr), term.coef, 1e-8);
+    expectNormalEquationsHold(ds, m);
 }
 
 TEST(LinearModelFitter, EmptyAttributeSetFitsTheMean)
@@ -280,8 +295,11 @@ TEST(LinearModelFitter, EmptyAttributeSetFitsTheMean)
     std::iota(rows.begin(), rows.end(), 0);
     LinearModelFitter fitter(ds, rows, {});
     const LinearModel m = fitter.fit();
-    const LinearModel direct = LinearModel::fit(ds, rows, {});
-    EXPECT_EQ(m.intercept(), direct.intercept());
+    // Exactly the row-order mean, not a 1x1 Cholesky solve.
+    double acc = 0.0;
+    for (std::size_t r : rows)
+        acc += ds.target(r);
+    EXPECT_EQ(m.intercept(), acc / static_cast<double>(rows.size()));
     EXPECT_TRUE(m.terms().empty());
 }
 

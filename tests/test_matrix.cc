@@ -25,108 +25,10 @@ TEST(Matrix, DefaultIsEmpty)
     EXPECT_EQ(m.cols(), 0u);
 }
 
-TEST(Matrix, FromRows)
-{
-    const auto m = Matrix::fromRows({{1, 2}, {3, 4}, {5, 6}});
-    EXPECT_EQ(m.rows(), 3u);
-    EXPECT_EQ(m.cols(), 2u);
-    EXPECT_DOUBLE_EQ(m(2, 1), 6.0);
-}
-
-TEST(Matrix, Identity)
-{
-    const auto eye = Matrix::identity(3);
-    for (std::size_t i = 0; i < 3; ++i)
-        for (std::size_t j = 0; j < 3; ++j)
-            EXPECT_DOUBLE_EQ(eye(i, j), i == j ? 1.0 : 0.0);
-}
-
-TEST(Matrix, Product)
-{
-    const auto a = Matrix::fromRows({{1, 2}, {3, 4}});
-    const auto b = Matrix::fromRows({{5, 6}, {7, 8}});
-    const auto c = a * b;
-    EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-    EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-    EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-    EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(Matrix, ProductWithIdentity)
-{
-    const auto a = Matrix::fromRows({{1, 2}, {3, 4}});
-    const auto c = a * Matrix::identity(2);
-    EXPECT_DOUBLE_EQ(c(0, 1), 2.0);
-    EXPECT_DOUBLE_EQ(c(1, 0), 3.0);
-}
-
-TEST(Matrix, MatrixVectorProduct)
-{
-    const auto a = Matrix::fromRows({{1, 2, 3}, {4, 5, 6}});
-    const auto v = a * std::vector<double>{1.0, 0.0, -1.0};
-    ASSERT_EQ(v.size(), 2u);
-    EXPECT_DOUBLE_EQ(v[0], -2.0);
-    EXPECT_DOUBLE_EQ(v[1], -2.0);
-}
-
-TEST(Matrix, SumAndDifference)
-{
-    const auto a = Matrix::fromRows({{1, 2}});
-    const auto b = Matrix::fromRows({{3, 5}});
-    const auto s = a + b;
-    const auto d = b - a;
-    EXPECT_DOUBLE_EQ(s(0, 1), 7.0);
-    EXPECT_DOUBLE_EQ(d(0, 0), 2.0);
-}
-
-TEST(Matrix, Transpose)
-{
-    const auto a = Matrix::fromRows({{1, 2, 3}, {4, 5, 6}});
-    const auto t = a.transposed();
-    EXPECT_EQ(t.rows(), 3u);
-    EXPECT_EQ(t.cols(), 2u);
-    EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(Matrix, DoubleTransposeIsIdentityOp)
-{
-    const auto a = Matrix::fromRows({{1, 2, 3}, {4, 5, 6}});
-    const auto tt = a.transposed().transposed();
-    for (std::size_t i = 0; i < a.rows(); ++i)
-        for (std::size_t j = 0; j < a.cols(); ++j)
-            EXPECT_DOUBLE_EQ(tt(i, j), a(i, j));
-}
-
-TEST(Matrix, FrobeniusNorm)
-{
-    const auto a = Matrix::fromRows({{3, 4}});
-    EXPECT_DOUBLE_EQ(a.frobeniusNorm(), 5.0);
-}
-
-TEST(Matrix, MaxAbs)
-{
-    const auto a = Matrix::fromRows({{1, -7}, {3, 2}});
-    EXPECT_DOUBLE_EQ(a.maxAbs(), 7.0);
-}
-
-TEST(Matrix, RowDataPointsIntoStorage)
-{
-    Matrix m(2, 2);
-    m.rowData(1)[0] = 9.0;
-    EXPECT_DOUBLE_EQ(m(1, 0), 9.0);
-}
-
 TEST(MatrixDeathTest, OutOfRangeIndexAborts)
 {
     Matrix m(2, 2);
     EXPECT_DEATH((void)m(2, 0), "out of range");
-}
-
-TEST(MatrixDeathTest, DimensionMismatchAborts)
-{
-    const auto a = Matrix::fromRows({{1, 2}});
-    const auto b = Matrix::fromRows({{1, 2}});
-    EXPECT_DEATH((void)(a * b), "dimension mismatch");
 }
 
 } // namespace
