@@ -18,12 +18,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed_value)
@@ -40,29 +34,6 @@ Rng::seed(std::uint64_t seed_value)
     hasCachedNormal_ = false;
 }
 
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
 double
 Rng::uniform(double lo, double hi)
 {
@@ -70,40 +41,18 @@ Rng::uniform(double lo, double hi)
 }
 
 std::uint64_t
-Rng::uniformInt(std::uint64_t n)
+Rng::uniformIntRejecting(std::uint64_t n, __uint128_t m)
 {
-    mtperf_assert(n > 0, "uniformInt(0) is undefined");
-    // Lemire's nearly-divisionless bounded draw with rejection.
-    std::uint64_t x = next();
-    __uint128_t m = static_cast<__uint128_t>(x) * n;
-    auto lo = static_cast<std::uint64_t>(m);
-    if (lo < n) {
-        std::uint64_t threshold = -n % n;
-        while (lo < threshold) {
-            x = next();
-            m = static_cast<__uint128_t>(x) * n;
-            lo = static_cast<std::uint64_t>(m);
-        }
-    }
+    const std::uint64_t threshold = -n % n;
+    while (static_cast<std::uint64_t>(m) < threshold)
+        m = static_cast<__uint128_t>(next()) * n;
     return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t
-Rng::uniformInt(std::int64_t lo, std::int64_t hi)
+void
+Rng::uniformIntOfZero()
 {
-    mtperf_assert(lo <= hi, "empty integer range");
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(uniformInt(span));
-}
-
-bool
-Rng::chance(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
+    mtperf_panic("uniformInt(0) is undefined");
 }
 
 double
@@ -142,17 +91,10 @@ Rng::exponential(double lambda)
     return -std::log(u) / lambda;
 }
 
-std::uint64_t
-Rng::geometric(double p)
+GeometricSampler::GeometricSampler(double p) : p_(p)
 {
     mtperf_assert(p > 0.0 && p <= 1.0, "geometric p out of range");
-    if (p >= 1.0)
-        return 0;
-    double u;
-    do {
-        u = uniform();
-    } while (u <= 0.0);
-    return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
+    log1mP_ = std::log1p(-p);
 }
 
 namespace {

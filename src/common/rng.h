@@ -16,6 +16,8 @@
 #ifndef MTPERF_COMMON_RNG_H_
 #define MTPERF_COMMON_RNG_H_
 
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -53,9 +55,6 @@ class Rng
     /** Uniform integer in [0, n). @pre n > 0. */
     std::uint64_t uniformInt(std::uint64_t n);
 
-    /** Uniform integer in [lo, hi] inclusive. @pre lo <= hi. */
-    std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
-
     /** Bernoulli draw with probability @p p of returning true. */
     bool chance(double p);
 
@@ -67,12 +66,6 @@ class Rng
 
     /** Exponential with rate @p lambda. @pre lambda > 0. */
     double exponential(double lambda);
-
-    /**
-     * Geometric number of failures before the first success,
-     * success probability @p p in (0, 1].
-     */
-    std::uint64_t geometric(double p);
 
     /** Fisher-Yates shuffle of @p v. */
     template <typename T>
@@ -86,10 +79,65 @@ class Rng
     }
 
   private:
+    /** uniformInt's Lemire rejection loop, entered when the low word
+     *  of the first product @p m falls below @p n. */
+    std::uint64_t uniformIntRejecting(std::uint64_t n, __uint128_t m);
+
+    /** The panic behind uniformInt's n > 0 check, off the hot path. */
+    [[noreturn, gnu::cold]] static void uniformIntOfZero();
+
     std::uint64_t s_[4];
     double cachedNormal_ = 0.0;
     bool hasCachedNormal_ = false;
 };
+
+// The draws the workload generator makes per simulated instruction are
+// defined here so they inline into it.
+
+inline std::uint64_t
+Rng::next()
+{
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+
+    return result;
+}
+
+inline double
+Rng::uniform()
+{
+    // 53 random mantissa bits -> uniform in [0, 1).
+    return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+inline std::uint64_t
+Rng::uniformInt(std::uint64_t n)
+{
+    if (n == 0) [[unlikely]]
+        uniformIntOfZero();
+    // Lemire's nearly-divisionless bounded draw with rejection.
+    const __uint128_t m = static_cast<__uint128_t>(next()) * n;
+    if (static_cast<std::uint64_t>(m) < n) [[unlikely]]
+        return uniformIntRejecting(n, m);
+    return static_cast<std::uint64_t>(m >> 64);
+}
+
+inline bool
+Rng::chance(double p)
+{
+    if (p <= 0.0)
+        return false;
+    if (p >= 1.0)
+        return true;
+    return uniform() < p;
+}
 
 /**
  * A Zipf(n, s) sampler: integers in [0, n) with exponent s, drawn by
@@ -121,6 +169,39 @@ class ZipfSampler
     double hX1_ = 0.0;  //!< h_integral(1.5) - 1
     double d_ = 0.0;    //!< h_integral(0.5)
     double span_ = 0.0; //!< h_integral(n + 0.5) - d
+};
+
+/**
+ * A geometric sampler: the number of failures before the first
+ * success, success probability p in (0, 1], by inversion. log1p(-p)
+ * is computed once at construction; the workload generator builds one
+ * per phase and draws from it on most instructions.
+ */
+class GeometricSampler
+{
+  public:
+    /** p = 1: always returns 0 without consuming a draw. */
+    GeometricSampler() = default;
+
+    /** @pre p in (0, 1]. */
+    explicit GeometricSampler(double p);
+
+    /** Draw one value, consuming uniforms from @p rng unless p = 1. */
+    std::uint64_t
+    sample(Rng &rng) const
+    {
+        if (p_ >= 1.0)
+            return 0;
+        double u;
+        do {
+            u = rng.uniform();
+        } while (u <= 0.0);
+        return static_cast<std::uint64_t>(std::log(u) / log1mP_);
+    }
+
+  private:
+    double p_ = 1.0;
+    double log1mP_ = 0.0; //!< log1p(-p)
 };
 
 } // namespace mtperf

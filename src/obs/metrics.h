@@ -21,6 +21,13 @@
  * one); per-instance views are taken by snapshot deltas, not by
  * per-instance metric objects.
  *
+ * Lock-free is not free. Every thread that writes a metric writes the
+ * same cache line, so a process-wide metric written per instruction
+ * or per row from several threads serialises them on that line. On
+ * such a path, count in the owning object and publish the delta per
+ * batch, as uarch::Decoder does (every 65,536 lookups, on reset and on
+ * destruction).
+ *
  * Naming convention: dot-separated `component.metric[_unit]`,
  * lowercase, e.g. `sim.sections_simulated`, `tree.leaf_fits`,
  * `pool.task_micros`. Components in use: sim, tree, cv, pool, serve.

@@ -54,15 +54,30 @@ Decoder::Decoder(const DecoderConfig &config) : config_(config)
     registerDecodeCacheInvariant();
 }
 
-Cycle
-Decoder::decode(const MicroOp &op)
+Decoder::~Decoder()
+{
+    publish();
+}
+
+void
+Decoder::publish()
 {
     static obs::Counter &lookups = obs::counter("decode.cache_lookups");
     static obs::Counter &hits = obs::counter("decode.cache_hits");
     static obs::Counter &misses = obs::counter("decode.cache_misses");
 
+    lookups.add(cacheLookups_ - publishedLookups_);
+    hits.add(cacheHits_ - publishedHits_);
+    misses.add(cacheMisses_ - publishedMisses_);
+    publishedLookups_ = cacheLookups_;
+    publishedHits_ = cacheHits_;
+    publishedMisses_ = cacheMisses_;
+}
+
+Cycle
+Decoder::decode(const MicroOp &op)
+{
     ++cacheLookups_;
-    lookups.increment();
 
     Cycle bubble;
     if (!cache_.empty()) {
@@ -71,19 +86,20 @@ Decoder::decode(const MicroOp &op)
         CacheEntry &entry = cache_[(op.pc >> 2) & indexMask_];
         if (entry.pc == op.pc && entry.hasLcp == op.hasLcp) {
             ++cacheHits_;
-            hits.increment();
             bubble = entry.bubble;
         } else {
             ++cacheMisses_;
-            misses.increment();
             bubble = op.hasLcp ? config_.lcpStallCycles : 0;
             entry = {op.pc, op.hasLcp, bubble};
         }
     } else {
         ++cacheMisses_;
-        misses.increment();
         bubble = op.hasLcp ? config_.lcpStallCycles : 0;
     }
+    // Publish after the hit or miss is counted, so every publish keeps
+    // hits + misses == lookups in the global counters.
+    if (cacheLookups_ - publishedLookups_ == kPublishBatch)
+        publish();
 
     // Stall statistics are per dynamic instruction, hit or miss.
     if (op.hasLcp)
@@ -94,10 +110,14 @@ Decoder::decode(const MicroOp &op)
 void
 Decoder::reset()
 {
+    publish();
     lcpStalls_ = 0;
     cacheLookups_ = 0;
     cacheHits_ = 0;
     cacheMisses_ = 0;
+    publishedLookups_ = 0;
+    publishedHits_ = 0;
+    publishedMisses_ = 0;
     if (!cache_.empty())
         cache_.assign(cache_.size(), CacheEntry{});
 }

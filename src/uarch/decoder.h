@@ -17,6 +17,13 @@
  * serves a stale bubble — results are bit-identical with the cache on,
  * off, or any size. Statistics (lcpStalls) are charged per dynamic
  * instruction either way.
+ *
+ * decode() counts in this object only. The process-wide
+ * decode.cache_{lookups,hits,misses} counters receive the decoder's
+ * unpublished counts every kPublishBatch lookups, on reset() and on
+ * destruction, so simulating threads do not share a cache line per
+ * instruction, and the global totals are exact once every decoder has
+ * been reset or destroyed.
  */
 
 #ifndef MTPERF_UARCH_DECODER_H_
@@ -49,13 +56,26 @@ class Decoder
   public:
     explicit Decoder(const DecoderConfig &config = {});
 
+    /** Publishes the counts not yet added to the global counters. */
+    ~Decoder();
+
+    // A copy, or a moved-from decoder, would publish the same counts
+    // twice.
+    Decoder(const Decoder &) = delete;
+    Decoder &operator=(const Decoder &) = delete;
+    Decoder(Decoder &&) = delete;
+    Decoder &operator=(Decoder &&) = delete;
+
+    /** Lookups between two publishes to the global counters. */
+    static constexpr std::uint64_t kPublishBatch = 65536;
+
     /**
      * Account for one fetched instruction.
      * @return the decode bubble in cycles (0 for ordinary encodings).
      */
     Cycle decode(const MicroOp &op);
 
-    /** Clear statistics and the decoded-op cache. */
+    /** Publish, then clear statistics and the decoded-op cache. */
     void reset();
 
     std::uint64_t lcpStalls() const { return lcpStalls_; }
@@ -78,11 +98,18 @@ class Decoder
 
     static constexpr Addr kEmptyTag = ~Addr{0};
 
+    /** Add the counts since the last publish to the global counters. */
+    void publish();
+
     DecoderConfig config_;
     std::uint64_t lcpStalls_ = 0;
     std::uint64_t cacheLookups_ = 0;
     std::uint64_t cacheHits_ = 0;
     std::uint64_t cacheMisses_ = 0;
+    /** The part of the three counts above already published. */
+    std::uint64_t publishedLookups_ = 0;
+    std::uint64_t publishedHits_ = 0;
+    std::uint64_t publishedMisses_ = 0;
     std::vector<CacheEntry> cache_; //!< direct-mapped, power-of-two
     std::size_t indexMask_ = 0;
 };

@@ -16,7 +16,8 @@ LoadStoreQueue::recordStore(Addr addr, std::uint8_t size, bool addr_slow,
                             std::uint64_t seq)
 {
     buffer_[head_] = {addr, size, addr_slow, seq, true};
-    head_ = (head_ + 1) % buffer_.size();
+    if (++head_ == buffer_.size())
+        head_ = 0;
 }
 
 LoadBlockResult
@@ -28,10 +29,11 @@ LoadStoreQueue::checkLoad(Addr addr, std::uint8_t size, std::uint64_t seq)
 
     // Scan from the youngest store backwards; the nearest interacting
     // store determines the outcome, matching how the hardware resolves
-    // the youngest-older-store dependence.
+    // the youngest-older-store dependence. The slot steps down from
+    // the one before head_ and wraps from 0 to the last slot.
+    std::size_t slot = head_;
     for (std::size_t i = 0; i < buffer_.size(); ++i) {
-        const std::size_t slot =
-            (head_ + buffer_.size() - 1 - i) % buffer_.size();
+        slot = (slot == 0 ? buffer_.size() : slot) - 1;
         const StoreEntry &store = buffer_[slot];
         if (!store.valid || store.seq >= seq)
             continue;

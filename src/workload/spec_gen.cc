@@ -177,10 +177,10 @@ generateWorkloads(const GenOptions &options)
         const std::size_t phases = static_cast<std::size_t>(
             rng.uniformInt(static_cast<std::uint64_t>(
                 options.maxPhases))) + 1;
-        const std::uint64_t total = static_cast<std::uint64_t>(
-            rng.uniformInt(
-                static_cast<std::int64_t>(options.minSections),
-                static_cast<std::int64_t>(options.maxSections)));
+        // minSections >= 1, so the span cannot wrap to 0.
+        const std::uint64_t total =
+            options.minSections +
+            rng.uniformInt(options.maxSections - options.minSections + 1);
 
         // Split the section budget across phases by random weights,
         // never rounding a phase down to zero sections.

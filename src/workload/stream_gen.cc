@@ -61,6 +61,7 @@ StreamGenerator::setParams(const PhaseParams &params)
     hotSampler_ = ZipfSampler(hotLines_, 1.2);
     dataSampler_ = ZipfSampler(dataLines_, params_.zipfS);
     codeSampler_ = ZipfSampler(codeLines_, params_.codeZipfS);
+    depSampler_ = GeometricSampler(params_.depGeoP);
 }
 
 std::uint64_t
@@ -221,7 +222,7 @@ StreamGenerator::next()
 
     // Register dependency (pointer-chase loads override this below).
     if (!rng_.chance(params_.depNoneFrac)) {
-        const std::uint64_t dist = 1 + rng_.geometric(params_.depGeoP);
+        const std::uint64_t dist = 1 + depSampler_.sample(rng_);
         op.depDist = static_cast<std::uint16_t>(
             std::min<std::uint64_t>(dist, 64));
     }

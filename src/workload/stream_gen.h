@@ -61,13 +61,14 @@ class StreamGenerator
     std::uint64_t codeLines_ = 1;
 
     /**
-     * Per-footprint Zipf samplers, rebuilt by setParams (per section)
-     * instead of re-deriving the rejection-inversion constants on
-     * every address draw.
+     * Per-footprint Zipf samplers and the dependency-distance sampler,
+     * rebuilt by setParams (per section) instead of re-deriving their
+     * constants on every draw.
      */
     ZipfSampler hotSampler_;
     ZipfSampler dataSampler_;
     ZipfSampler codeSampler_;
+    GeometricSampler depSampler_;
 
     uarch::Addr pc_;
     uarch::Addr streamPos_ = 0;

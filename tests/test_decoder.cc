@@ -166,5 +166,75 @@ TEST(DecoderCache, GlobalInvariantHoldsAfterDecodes)
             << violation.message;
 }
 
+/** The three process-wide decode counters at one moment. */
+struct GlobalDecodeCounts
+{
+    std::uint64_t lookups = obs::counter("decode.cache_lookups").value();
+    std::uint64_t hits = obs::counter("decode.cache_hits").value();
+    std::uint64_t misses = obs::counter("decode.cache_misses").value();
+};
+
+TEST(DecoderCache, DecodeDoesNotWriteProcessWideCounters)
+{
+    const GlobalDecodeCounts before;
+    std::uint64_t lookups = 0, hits = 0, misses = 0;
+    {
+        Decoder decoder;
+        MicroOp op;
+        for (int i = 0; i < 1000; ++i) {
+            op.pc = 0x400000 + (i % 16) * 4;
+            op.hasLcp = i % 3 == 0;
+            decoder.decode(op);
+        }
+        EXPECT_EQ(GlobalDecodeCounts().lookups, before.lookups);
+        lookups = decoder.cacheLookups();
+        hits = decoder.cacheHits();
+        misses = decoder.cacheMisses();
+        EXPECT_EQ(lookups, 1000u);
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(misses, 0u);
+    }
+    const GlobalDecodeCounts after;
+    EXPECT_EQ(after.lookups - before.lookups, lookups);
+    EXPECT_EQ(after.hits - before.hits, hits);
+    EXPECT_EQ(after.misses - before.misses, misses);
+}
+
+TEST(DecoderCache, PublishesEveryBatchOfLookups)
+{
+    const GlobalDecodeCounts before;
+    {
+        Decoder decoder;
+        MicroOp op;
+        for (std::uint64_t i = 0; i < Decoder::kPublishBatch + 1; ++i) {
+            op.pc = 0x400000 + (i % 4096) * 4;
+            decoder.decode(op);
+        }
+        const GlobalDecodeCounts mid;
+        EXPECT_EQ(mid.lookups - before.lookups, Decoder::kPublishBatch);
+        EXPECT_EQ((mid.hits - before.hits) + (mid.misses - before.misses),
+                  Decoder::kPublishBatch);
+    }
+    const GlobalDecodeCounts after;
+    EXPECT_EQ(after.lookups - before.lookups, Decoder::kPublishBatch + 1);
+    EXPECT_EQ((after.hits - before.hits) + (after.misses - before.misses),
+              Decoder::kPublishBatch + 1);
+}
+
+TEST(DecoderCache, ResetPublishesBeforeClearing)
+{
+    const GlobalDecodeCounts before;
+    Decoder decoder;
+    MicroOp op;
+    op.pc = 0x400000;
+    for (int i = 0; i < 10; ++i)
+        decoder.decode(op);
+    decoder.reset();
+    const GlobalDecodeCounts after;
+    EXPECT_EQ(after.lookups - before.lookups, 10u);
+    EXPECT_EQ(after.hits - before.hits, 9u);
+    EXPECT_EQ(after.misses - before.misses, 1u);
+}
+
 } // namespace
 } // namespace mtperf::uarch

@@ -104,6 +104,36 @@ TEST(Lsq, YoungestMatchingStoreWins)
     EXPECT_FALSE(result.overlap);
 }
 
+TEST(Lsq, YoungestMatchingStoreWinsAcrossTheWrap)
+{
+    LsqConfig config;
+    config.storeBufferEntries = 3;
+    config.stdWindowOps = 2;
+    LoadStoreQueue lsq(config);
+    lsq.recordStore(0x9000, 4, false, 1);  // slot 0, evicted below
+    lsq.recordStore(0x7000, 8, false, 2);  // slot 1, disjoint
+    lsq.recordStore(0x1004, 4, false, 3);  // slot 2, partial overlap
+    lsq.recordStore(0x1000, 8, false, 99); // slot 0, youngest
+
+    // The youngest store, at slot 0, fully covers the load with fresh
+    // data: STD, not the partial overlap of the store at slot 2.
+    const auto young = lsq.checkLoad(0x1002, 4, 100);
+    EXPECT_TRUE(young.std);
+    EXPECT_FALSE(young.overlap);
+
+    // A load older than slot 0's store skips it and the scan wraps on
+    // to slot 2.
+    const auto older = lsq.checkLoad(0x1002, 4, 50);
+    EXPECT_TRUE(older.overlap);
+    EXPECT_FALSE(older.std);
+
+    // Only the evicted store touched 0x9000.
+    const auto evicted = lsq.checkLoad(0x9000, 8, 100);
+    EXPECT_EQ(evicted.penalty, 0u);
+    EXPECT_FALSE(evicted.overlap);
+    EXPECT_EQ(lsq.overlapBlocks(), 1u);
+}
+
 TEST(Lsq, RingEvictsOldestStores)
 {
     LsqConfig config;

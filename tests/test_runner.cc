@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+#include "obs/metrics.h"
 #include "uarch/event_counters.h"
 #include "workload/runner.h"
 #include "workload/spec_suite.h"
@@ -132,6 +134,64 @@ TEST(Runner, SuiteConcatenatesWorkloads)
     EXPECT_EQ(records[5].workload, "tiny2");
     // Section indices restart per workload.
     EXPECT_EQ(records[5].sectionIndex, 0u);
+}
+
+/** The process-wide decode-cache counters a suite run moved. */
+struct DecodeDelta
+{
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+};
+
+DecodeDelta
+decodeCountsOfSuiteRun(const std::vector<WorkloadSpec> &suite,
+                       const RunnerOptions &options,
+                       std::size_t *sections)
+{
+    obs::Counter &lookups = obs::counter("decode.cache_lookups");
+    obs::Counter &hits = obs::counter("decode.cache_hits");
+    obs::Counter &misses = obs::counter("decode.cache_misses");
+    const DecodeDelta before{lookups.value(), hits.value(), misses.value()};
+    *sections = runSuite(suite, options).size();
+    return {lookups.value() - before.lookups, hits.value() - before.hits,
+            misses.value() - before.misses};
+}
+
+TEST(Runner, SuiteDecodeAccountingIsExactAtAnyThreadCount)
+{
+    // More workloads than threads, so several decoders publish
+    // concurrently from pool workers.
+    std::vector<WorkloadSpec> suite;
+    for (int i = 0; i < 6; ++i) {
+        suite.push_back(tinyWorkload());
+        suite.back().name = "tiny" + std::to_string(i);
+    }
+    RunnerOptions options = fastOptions();
+    // 2 sections per workload at 40,000 instructions: each decoder
+    // crosses one publish batch and publishes the rest on destruction.
+    options.sectionScale = 0.4;
+    options.instructionsPerSection = 40000;
+
+    std::size_t serial_sections = 0, parallel_sections = 0;
+    setGlobalThreadCount(1);
+    const DecodeDelta serial =
+        decodeCountsOfSuiteRun(suite, options, &serial_sections);
+    setGlobalThreadCount(4);
+    const DecodeDelta parallel =
+        decodeCountsOfSuiteRun(suite, options, &parallel_sections);
+    setGlobalThreadCount(0);
+
+    ASSERT_EQ(serial_sections, suite.size() * 2);
+    ASSERT_EQ(parallel_sections, serial_sections);
+    const std::uint64_t instructions =
+        serial_sections * options.instructionsPerSection;
+    for (const DecodeDelta &d : {serial, parallel}) {
+        EXPECT_EQ(d.lookups, instructions);
+        EXPECT_EQ(d.hits + d.misses, d.lookups);
+    }
+    EXPECT_EQ(parallel.hits, serial.hits);
+    EXPECT_EQ(parallel.misses, serial.misses);
 }
 
 TEST(Runner, InvalidOptionsThrow)
