@@ -1161,58 +1161,32 @@ int
 cmdBenchdiff(const std::vector<std::string> &args, std::ostream &out)
 {
     // The parser is flag-only, so peel the two leading positionals
-    // by hand: benchdiff OLD.json NEW.json [--options].
+    // by hand: benchdiff BASE HEAD [--verdict-out FILE].
     std::vector<std::string> positionals;
     std::size_t next = 0;
     while (next < args.size() && positionals.size() < 2 &&
            !startsWith(args[next], "--"))
         positionals.push_back(args[next++]);
     if (positionals.size() != 2)
-        throw UsageError("benchdiff compares two snapshots: mtperf "
-                         "benchdiff OLD.json NEW.json [options]");
+        throw UsageError("benchdiff compares two files of perfbench "
+                         "runs: mtperf benchdiff BASE HEAD [options]");
     const std::vector<std::string> rest(
         args.begin() + static_cast<std::ptrdiff_t>(next), args.end());
 
     ArgParser parser;
-    parser.addString("tolerance", "",
-                     "per-metric tolerance overrides: "
-                     "name=frac[,name=frac...]");
     parser.addString("verdict-out", "",
                      "write the CRC-sealed verdict JSON here");
-    parser.addFlag("json",
-                   "print the verdict JSON instead of the table");
     addCommonOptions(parser);
     parser.parse(rest);
     applyCommonOptions(parser);
 
-    std::map<std::string, double> overrides;
-    const std::string tolerance = parser.getString("tolerance");
-    if (!tolerance.empty()) {
-        for (const std::string &entry : split(tolerance, ',')) {
-            const std::size_t eq = entry.find('=');
-            if (eq == std::string::npos || eq == 0)
-                throw UsageError("--tolerance entries are name=frac, "
-                                 "got '" + entry + "'");
-            const std::string name = trim(entry.substr(0, eq));
-            double frac = 0.0;
-            try {
-                frac = parseDouble(entry.substr(eq + 1),
-                                   "--tolerance " + name);
-            } catch (const FatalError &e) {
-                throw UsageError(e.what());
-            }
-            if (!overrides.emplace(name, frac).second)
-                throw UsageError("--tolerance names '" + name +
-                                 "' twice");
-        }
-    }
-
+    // The benchmark's own declarations, read from the checkout root
+    // perfbench/run.py also runs in.
     const perf::BenchDiffReport report = perf::diffBenchFiles(
-        positionals[0], positionals[1], overrides);
-    if (parser.getFlag("json"))
-        out << perf::benchDiffToJson(report) << "\n";
-    else
-        out << perf::formatBenchDiff(report);
+        positionals[0], positionals[1],
+        perf::readBenchDeclarations("BENCHMARK.json",
+                                    "perfbench/protocol.json"));
+    out << perf::formatBenchDiff(report);
     const std::string verdict = parser.getString("verdict-out");
     if (!verdict.empty()) {
         perf::writeBenchDiffFile(verdict, report);
@@ -1336,10 +1310,11 @@ usageText()
            "             daemon: --connect ADDRESS (binary METRICS\n"
            "             op) or --http HOST:PORT (GET /metrics);\n"
            "             --once renders one frame and exits\n"
-           "  benchdiff  compare two BENCH_*.json snapshots with\n"
-           "             per-metric tolerance bands; exits 6 on a\n"
-           "             regression (--verdict-out writes the sealed\n"
-           "             verdict JSON)\n"
+           "  benchdiff  judge two files of perfbench runs (BASE\n"
+           "             HEAD, paired by order) by the directions and\n"
+           "             bounds BENCHMARK.json declares; run it from\n"
+           "             the checkout root; exits 6 on a regression\n"
+           "             (--verdict-out writes the sealed verdict)\n"
            "  version    build metadata (version, git sha, compiler;\n"
            "             --json for machine-readable provenance)\n"
            "  help       show this text\n"
@@ -1374,8 +1349,8 @@ usageText()
            "values), 3 bad data (missing, corrupt or unparsable\n"
            "input), 4 internal error, 5 counter drift (validate\n"
            "found an event counter outside its oracle bounds),\n"
-           "6 bench regression (benchdiff found a gated metric\n"
-           "outside its tolerance band).\n";
+           "6 bench regression (benchdiff found a metric worse than\n"
+           "its bound, a changed exact metric or a failed head run).\n";
 }
 
 namespace {

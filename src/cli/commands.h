@@ -20,8 +20,8 @@
  *   serve       — prediction server: batched inference over a socket
  *   top         — live terminal dashboard over a running server's
  *                 /metrics (HTTP scrape or binary METRICS op)
- *   benchdiff   — compare two BENCH_*.json snapshots with per-metric
- *                 tolerance policy; exit 6 on a regression
+ *   benchdiff   — judge base vs head perfbench runs by BENCHMARK.json's
+ *                 directions and bounds; exit 6 on a regression
  *   validate    — assert the simulator's event counters against the
  *                 analytic oracle workloads, emit a drift report
  *   version     — build metadata (version, git sha, compiler);
@@ -76,9 +76,10 @@ int cmdVersion(const std::vector<std::string> &args, std::ostream &out);
 inline constexpr int kExitCounterDrift = 5;
 
 /**
- * Exit status of `mtperf benchdiff` when a gated metric regressed
- * beyond its tolerance. Distinct from 0/2/3/4/5 so CI can tell
- * "performance regressed" from "could not compare".
+ * Exit status of `mtperf benchdiff` when a metric regressed beyond
+ * its bound, an exact metric changed or head failed more. Distinct
+ * from 0/2/3/4/5 so CI can tell "performance regressed" from "could
+ * not compare".
  */
 inline constexpr int kExitBenchRegression = 6;
 

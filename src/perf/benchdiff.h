@@ -1,113 +1,140 @@
 /**
  * @file
- * Benchmark snapshot comparison — the regression gate behind
- * `mtperf benchdiff OLD.json NEW.json`.
+ * The benchmark's regression gate: `mtperf benchdiff BASE HEAD`.
  *
- * BENCH_ml/BENCH_sim/BENCH_serve snapshots are flat JSON objects of
- * numbers (plus a git_sha string). Comparing two of them is a policy
- * question, not an arithmetic one: throughput may dip a little on a
- * shared runner, latency tails are noisy, counts are deterministic,
- * and wall-clock must never gate anything. The policy is resolved
- * from the metric *name*:
+ * BASE and HEAD each hold the concatenated standard output of
+ * perfbench runs (perfbench/run.py), two lines per run:
  *
- *   - informational (never gates): `git_sha`, `retries`, any name
- *     ending in `wall_seconds` — environment-dependent by nature.
- *   - higher-is-better (default tolerance 0.30): names ending in
- *     `_per_sec`, `hit_rate` or containing `speedup` — throughput may
- *     regress by at most the tolerance fraction.
- *   - lower-is-better (default tolerance 0.50): latency percentiles
- *     (`p50_us`, `p95_us`, `p99_us`, any `p<N>_us`) — tails may grow
- *     by at most the tolerance fraction.
- *   - exact: everything else (row counts, leaf counts, event counts,
- *     configuration constants) — deterministic, so any change is a
- *     regression (or an unacknowledged behavior change).
+ *     perfbench: workload train_counters, seed 3, trace 0
+ *     {"correct": true, "attempted": 9, "failed": 0, "metrics": {...}}
  *
- * `--tolerance name=frac` overrides the tolerance of one metric; an
- * override on an exact or informational metric converts it to a
- * symmetric relative band (|change| <= frac).
+ * The i-th base run pairs with the i-th head run. Every rule comes
+ * from what the benchmark already declares: BENCHMARK.json gives each
+ * metric's direction (`better`) and each end-to-end metric's `bound`;
+ * perfbench/protocol.json lists the exact metrics. A metric gets one
+ * verdict:
  *
- * The verdict serializes as a canonical CRC-sealed JSON document
- * (common/sealed_json.h, shared with validate/report and
- * obs/timeseries) so CI can archive it and later runs can trust its
- * bytes.
+ *   - exact: `identical` when every run on both sides has the same
+ *     value, else `differs` (gates);
+ *   - end-to-end, the first that applies:
+ *       1. `regressed` (gates): the head median is worse than the
+ *          base median by more than `bound` of the base median;
+ *       2. `unresolved`: either side's quartile spread exceeds
+ *          `bound` times its median, and not every head run beats
+ *          every base run;
+ *       3. `improved`: at least 10 pairs, head wins at least 9 in
+ *          10, and the head median is better by more than the base's
+ *          quartile spread;
+ *       4. `within_bound`;
+ *   - per-layer (`--trace 1` runs): `reported`, never gates.
+ *
+ * A pair is won when head is better in the declared direction; ties
+ * count for neither side. The gate also fails when any head run says
+ * `"correct": false` or head's failed share (failed / attempted,
+ * summed over runs) is above base's. Input that cannot be compared
+ * (run counts that differ, unpaired workload/seed/trace, a file that
+ * mixes workloads or trace modes, an unparsable line, an undeclared
+ * or missing metric) is a FatalError naming the file and line.
  */
 
 #ifndef MTPERF_PERF_BENCHDIFF_H_
 #define MTPERF_PERF_BENCHDIFF_H_
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 namespace mtperf::perf {
 
-/** How a metric participates in the gate. */
-enum class BenchPolicy
+/** What the benchmark declares about one metric. */
+struct DeclaredMetric
 {
-    Informational, //!< reported, never gates
-    HigherBetter,  //!< gate: new >= old * (1 - tolerance)
-    LowerBetter,   //!< gate: new <= old * (1 + tolerance)
-    Exact,         //!< gate: new == old
-    Band,          //!< gate: |relative change| <= tolerance (override)
+    std::string name;
+    bool endToEnd = false;     //!< in end_to_end[], else per_layer[]
+    bool higherBetter = false; //!< `"better": "higher"`
+    bool exact = false;        //!< in protocol.json exact_metrics
+    double bound = 0.0;        //!< end-to-end: largest relative loss
 };
 
-/** The policy class benchdiff resolves for @p name (pre-override). */
-BenchPolicy benchPolicyFor(const std::string &name);
+/** Every declared metric: end-to-end first, in BENCHMARK.json order. */
+using BenchDeclarations = std::vector<DeclaredMetric>;
+
+/**
+ * Read BENCHMARK.json at @p benchmark_path and perfbench/protocol.json
+ * at @p protocol_path. @throw FatalError when either cannot be read or
+ * lacks the fields benchdiff judges by.
+ */
+BenchDeclarations readBenchDeclarations(const std::string &benchmark_path,
+                                        const std::string &protocol_path);
+
+/** One metric's verdict (see the file comment). */
+enum class BenchVerdict
+{
+    Identical,
+    Differs,
+    Regressed,
+    Unresolved,
+    Improved,
+    WithinBound,
+    Reported,
+};
 
 /** One compared metric. */
 struct BenchMetricDiff
 {
-    std::string name;
-    bool inOld = false;
-    bool inNew = false;
-    bool isString = false; //!< e.g. git_sha — compared as text
-    double oldValue = 0.0;
-    double newValue = 0.0;
-    std::string oldText;
-    std::string newText;
-    /** (new - old) / |old|; 0 when old == 0 or values are strings. */
+    DeclaredMetric declared;
+    BenchVerdict verdict = BenchVerdict::Reported;
+    double baseMedian = 0.0;
+    double headMedian = 0.0;
+    double baseSpread = 0.0; //!< upper minus lower quartile
+    double headSpread = 0.0;
+    /** (head - base) / |base| of the medians; 0 when base is 0. */
     double change = 0.0;
-    BenchPolicy policy = BenchPolicy::Informational;
-    double tolerance = 0.0;
-    bool pass = true;
-    std::string note; //!< "missing in NEW", "added in NEW", ...
+    std::size_t wins = 0; //!< pairs head won
 };
 
 /** The full comparison. */
 struct BenchDiffReport
 {
-    std::string oldSource;
-    std::string newSource;
-    std::vector<BenchMetricDiff> metrics;
+    std::string baseSource;
+    std::string headSource;
+    std::string workload;
+    int trace = 0;
+    std::size_t pairs = 0;
+    bool headCorrect = true; //!< every head run `"correct": true`
+    std::uint64_t baseAttempted = 0;
+    std::uint64_t baseFailed = 0;
+    std::uint64_t headAttempted = 0;
+    std::uint64_t headFailed = 0;
+    std::vector<BenchMetricDiff> metrics; //!< declaration order
 
-    /** Gated metrics that failed. */
-    std::size_t regressions() const;
-    bool pass() const { return regressions() == 0; }
+    std::size_t count(BenchVerdict verdict) const;
+    /** Head failed a larger share of its operations than base. */
+    bool failedShareGrew() const;
+    bool pass() const;
 };
 
 /**
- * Compare two snapshot documents. @p overrides maps metric name to a
- * tolerance fraction (see the header comment for override semantics).
- * @throw FatalError when either document is not a flat JSON object of
- * numbers/strings, or an override names a metric in neither document.
+ * Compare base and head runs given as text. @p base_source and
+ * @p head_source name them in errors and in the report.
+ * @throw FatalError on input that cannot be compared.
  */
-BenchDiffReport diffBenchDocs(const std::string &old_text,
-                              const std::string &old_source,
-                              const std::string &new_text,
-                              const std::string &new_source,
-                              const std::map<std::string, double>
-                                  &overrides = {});
+BenchDiffReport diffBenchRuns(const std::string &base_text,
+                              const std::string &base_source,
+                              const std::string &head_text,
+                              const std::string &head_source,
+                              const BenchDeclarations &declared);
 
-/** diffBenchDocs over two files ("-" is not supported here). */
-BenchDiffReport diffBenchFiles(const std::string &old_path,
-                               const std::string &new_path,
-                               const std::map<std::string, double>
-                                   &overrides = {});
+/** diffBenchRuns over two files. */
+BenchDiffReport diffBenchFiles(const std::string &base_path,
+                               const std::string &head_path,
+                               const BenchDeclarations &declared);
 
-/** Human-readable table, one line per metric, worst first. */
+/** Human-readable table, one line per metric, gating lines first. */
 std::string formatBenchDiff(const BenchDiffReport &report);
 
-/** Canonical CRC-sealed verdict JSON (no trailing newline). */
+/** Canonical verdict JSON, CRC-sealed by common/sealed_json.h. */
 std::string benchDiffToJson(const BenchDiffReport &report);
 
 /** Crash-safe benchDiffToJson() dump. Fault site: `obs.flush`. */

@@ -5,9 +5,8 @@
  * One connected socket, blocking request/response with transparent
  * RETRY handling (bounded exponential backoff when the server sheds
  * load), plus a raw pipelined interface — send many PREDICT frames,
- * read replies out of order by request id — used by the throughput
- * bench. This client powers `mtperf predict --connect`, the smoke
- * tests, and `bench/perf_serve`.
+ * read replies out of order by request id. This client powers
+ * `mtperf predict --connect` and the serve and telemetry tests.
  *
  * Any server-reported failure or connection loss raises FatalError
  * carrying the server's message, so callers inherit the CLI's

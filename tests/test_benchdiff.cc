@@ -1,8 +1,11 @@
 /**
  * @file
- * Tests for the bench-snapshot regression gate: policy resolution
- * from metric names, tolerance bands, override semantics, the sealed
- * verdict JSON, and crash-safe verdict writes.
+ * Tests for the benchmark's regression gate on committed perfbench
+ * output (tests/data/benchdiff/). base.txt and head.txt are 10 runs
+ * each of one build; every head_<case>.txt is head.txt with one field
+ * changed, and traced_*.txt are one `--trace 1` pair. Covers each
+ * verdict, every input that cannot be compared, the sealed verdict
+ * JSON and crash-safe verdict writes.
  */
 
 #include <gtest/gtest.h>
@@ -11,216 +14,409 @@
 
 #include <filesystem>
 #include <fstream>
+#include <regex>
+#include <sstream>
 
 #include "common/checksum.h"
 #include "common/fault.h"
 #include "common/json.h"
 #include "common/logging.h"
+#include "common/sealed_json.h"
 #include "perf/benchdiff.h"
 
 namespace mtperf::perf {
 namespace {
 
-/** The verdict of one named metric in a report. */
+const std::string kRoot = MTPERF_REPO_ROOT;
+const std::string kFixtures = kRoot + "/tests/data/benchdiff/";
+
+const BenchDeclarations &
+declarations()
+{
+    static const BenchDeclarations declared = readBenchDeclarations(
+        kRoot + "/BENCHMARK.json", kRoot + "/perfbench/protocol.json");
+    return declared;
+}
+
+std::string
+fixture(const std::string &name)
+{
+    std::ifstream in(kFixtures + name);
+    EXPECT_TRUE(in.good()) << name;
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+BenchDiffReport
+diffFixtures(const std::string &base, const std::string &head)
+{
+    return diffBenchFiles(kFixtures + base, kFixtures + head,
+                          declarations());
+}
+
 const BenchMetricDiff &
 metricNamed(const BenchDiffReport &report, const std::string &name)
 {
-    for (const auto &m : report.metrics)
-        if (m.name == name)
+    for (const BenchMetricDiff &m : report.metrics)
+        if (m.declared.name == name)
             return m;
     ADD_FAILURE() << "metric " << name << " not in report";
-    static BenchMetricDiff none;
+    static const BenchMetricDiff none;
     return none;
 }
 
-TEST(BenchPolicy, ResolvesFromMetricName)
+/** The first @p runs runs (two lines each) of @p text. */
+std::string
+firstRuns(const std::string &text, std::size_t runs)
 {
-    EXPECT_EQ(benchPolicyFor("git_sha"), BenchPolicy::Informational);
-    EXPECT_EQ(benchPolicyFor("retries"), BenchPolicy::Informational);
-    EXPECT_EQ(benchPolicyFor("wall_seconds"),
-              BenchPolicy::Informational);
-    EXPECT_EQ(benchPolicyFor("fit_wall_seconds"),
-              BenchPolicy::Informational);
+    std::istringstream in(text);
+    std::string kept;
+    std::string line;
+    for (std::size_t i = 0; i < 2 * runs && std::getline(in, line); ++i)
+        kept += line + "\n";
+    return kept;
+}
 
-    EXPECT_EQ(benchPolicyFor("rows_per_sec"),
-              BenchPolicy::HigherBetter);
-    EXPECT_EQ(benchPolicyFor("fit_rows_per_sec"),
-              BenchPolicy::HigherBetter);
-    EXPECT_EQ(benchPolicyFor("decode_cache_hit_rate"),
-              BenchPolicy::HigherBetter);
-    EXPECT_EQ(benchPolicyFor("split_search_speedup"),
-              BenchPolicy::HigherBetter);
+/** @p text with the first @p from replaced by @p to. */
+std::string
+replaceFirst(std::string text, const std::string &from,
+             const std::string &to)
+{
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? text
+                                   : text.replace(at, from.size(), to);
+}
 
-    EXPECT_EQ(benchPolicyFor("p50_us"), BenchPolicy::LowerBetter);
-    EXPECT_EQ(benchPolicyFor("p95_us"), BenchPolicy::LowerBetter);
-    EXPECT_EQ(benchPolicyFor("p999_us"), BenchPolicy::LowerBetter);
-    EXPECT_EQ(benchPolicyFor("serve_p99_us"),
-              BenchPolicy::LowerBetter);
+/** diffBenchRuns must refuse the input, saying @p why. */
+void
+expectUncomparable(const std::string &base, const std::string &head,
+                   const std::string &why)
+{
+    try {
+        diffBenchRuns(base, "base.txt", head, "head.txt",
+                      declarations());
+        ADD_FAILURE() << "compared; expected: " << why;
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+            << e.what();
+    }
+}
 
-    EXPECT_EQ(benchPolicyFor("rows"), BenchPolicy::Exact);
-    EXPECT_EQ(benchPolicyFor("leaves"), BenchPolicy::Exact);
-    EXPECT_EQ(benchPolicyFor("p_us"), BenchPolicy::Exact)
-        << "no digits: not a latency percentile";
-    EXPECT_EQ(benchPolicyFor("jump_us"), BenchPolicy::Exact)
-        << "'p' must start its own word";
+TEST(BenchDiff, DeclarationsAreTheCommittedBenchmarks)
+{
+    std::size_t end_to_end = 0;
+    std::size_t exact = 0;
+    for (const DeclaredMetric &metric : declarations()) {
+        end_to_end += metric.endToEnd ? 1 : 0;
+        exact += metric.exact ? 1 : 0;
+    }
+    EXPECT_EQ(end_to_end, 11u);
+    EXPECT_EQ(exact, 19u);
+    const DeclaredMetric &train = declarations()[4];
+    EXPECT_EQ(train.name, "train_s");
+    EXPECT_FALSE(train.higherBetter);
+    EXPECT_EQ(train.bound, 0.25);
+
+    EXPECT_THROW(readBenchDeclarations(kRoot + "/perfbench/protocol.json",
+                                       kRoot + "/perfbench/protocol.json"),
+                 FatalError)
+        << "protocol.json declares no metrics";
+}
+
+TEST(BenchDiff, SelfComparisonPasses)
+{
+    const BenchDiffReport report = diffFixtures("base.txt", "head.txt");
+    EXPECT_TRUE(report.pass()) << formatBenchDiff(report);
+    EXPECT_EQ(report.workload, "train_counters");
+    EXPECT_EQ(report.trace, 0);
+    EXPECT_EQ(report.pairs, 10u);
+    EXPECT_EQ(report.metrics.size(), 11u);
+    EXPECT_EQ(report.count(BenchVerdict::Regressed), 0u);
+    EXPECT_EQ(report.count(BenchVerdict::Improved), 0u);
+    EXPECT_EQ(metricNamed(report, "cv_mae").verdict,
+              BenchVerdict::Identical);
 }
 
 TEST(BenchDiff, IdenticalSnapshotsPass)
 {
-    const std::string doc =
-        R"({"rows_per_sec":100000,"p95_us":120.5,"rows":5000,)"
-        R"("git_sha":"abc123","wall_seconds":3.2})";
+    // The same runs on both sides: every pair ties, so nothing is won,
+    // nothing moves and nothing gates.
+    const std::string runs = fixture("base.txt");
     const BenchDiffReport report =
-        diffBenchDocs(doc, "old", doc, "new");
+        diffBenchRuns(runs, "base", runs, "head", declarations());
+    EXPECT_TRUE(report.pass()) << formatBenchDiff(report);
+    EXPECT_EQ(report.metrics.size(), 11u);
+    for (const BenchMetricDiff &m : report.metrics) {
+        EXPECT_EQ(m.wins, 0u) << m.declared.name;
+        EXPECT_EQ(m.change, 0.0) << m.declared.name;
+        EXPECT_EQ(m.baseMedian, m.headMedian) << m.declared.name;
+        EXPECT_NE(m.verdict, BenchVerdict::Regressed) << m.declared.name;
+        EXPECT_NE(m.verdict, BenchVerdict::Improved) << m.declared.name;
+        EXPECT_NE(m.verdict, BenchVerdict::Differs) << m.declared.name;
+    }
+}
+
+TEST(BenchDiff, CommittedSnapshotsSelfComparePass)
+{
+    // Every committed fixture against itself, through the file reader:
+    // only the fixture whose head runs are incorrect may fail.
+    std::size_t compared = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(kFixtures)) {
+        const std::string path = entry.path().string();
+        const std::string name = entry.path().filename().string();
+        const BenchDiffReport report =
+            diffBenchFiles(path, path, declarations());
+        EXPECT_EQ(report.pass(), name != "head_incorrect.txt")
+            << name << "\n" << formatBenchDiff(report);
+        EXPECT_EQ(report.headCorrect, name != "head_incorrect.txt")
+            << name;
+        EXPECT_FALSE(report.failedShareGrew()) << name;
+        EXPECT_EQ(report.count(BenchVerdict::Regressed), 0u) << name;
+        EXPECT_EQ(report.count(BenchVerdict::Differs), 0u) << name;
+        EXPECT_EQ(report.count(BenchVerdict::Improved), 0u) << name;
+        EXPECT_GT(report.metrics.size(), 3u) << name;
+        ++compared;
+    }
+    EXPECT_EQ(compared, 10u);
+}
+
+TEST(BenchDiff, DerivedFixturesChangeOnlyTheirField)
+{
+    const std::string head = fixture("head.txt");
+    const std::string value = R"(": \{"value": [^,]*)";
+    for (const auto &[name, field] :
+         {std::pair<std::string, std::string>{"head_regressed.txt",
+                                              "\"train_s" + value},
+          {"head_improved.txt", "\"sim_minstr_per_s" + value},
+          {"head_unresolved.txt", "\"train_s" + value},
+          {"head_cv_mae.txt", "\"cv_mae" + value},
+          {"head_incorrect.txt", R"("correct": \w+)"},
+          {"head_failed.txt", R"("failed": \d+)"}}) {
+        const std::regex pattern(field);
+        const std::string derived = fixture(name);
+        EXPECT_NE(derived, head) << name;
+        EXPECT_EQ(std::regex_replace(derived, pattern, "#"),
+                  std::regex_replace(head, pattern, "#"))
+            << name;
+    }
+}
+
+TEST(BenchDiff, NineOfTenRegressionBeyondBoundFails)
+{
+    const BenchDiffReport report =
+        diffFixtures("base.txt", "head_regressed.txt");
+    EXPECT_FALSE(report.pass());
+    const BenchMetricDiff &train = metricNamed(report, "train_s");
+    EXPECT_EQ(train.verdict, BenchVerdict::Regressed);
+    EXPECT_GT(train.change, train.declared.bound);
+    const std::string table = formatBenchDiff(report);
+    EXPECT_LT(table.find("\ntrain_s "), table.find("\nsetup_s "))
+        << "the gating line leads:\n"
+        << table;
+    EXPECT_NE(table.find("FAIL: 1 regressed"), std::string::npos);
+}
+
+TEST(BenchDiff, TenOfTenBetterIsImproved)
+{
+    const BenchDiffReport report =
+        diffFixtures("base.txt", "head_improved.txt");
     EXPECT_TRUE(report.pass());
-    EXPECT_EQ(report.regressions(), 0u);
-    EXPECT_EQ(report.metrics.size(), 5u);
+    const BenchMetricDiff &sim = metricNamed(report, "sim_minstr_per_s");
+    EXPECT_EQ(sim.verdict, BenchVerdict::Improved);
+    EXPECT_EQ(sim.wins, 10u);
+    EXPECT_GT(sim.headMedian - sim.baseMedian, sim.baseSpread);
+
+    // The same third, lost instead, exceeds the 25% bound.
+    const BenchDiffReport lost =
+        diffFixtures("head_improved.txt", "base.txt");
+    EXPECT_EQ(metricNamed(lost, "sim_minstr_per_s").verdict,
+              BenchVerdict::Regressed);
+    EXPECT_FALSE(lost.pass());
 }
 
-TEST(BenchDiff, ThroughputGatesAtTolerance)
+TEST(BenchDiff, FewerThanTenPairsIsNeverImproved)
 {
-    const std::string old_doc = R"({"rows_per_sec":100000})";
-    // 30% default tolerance: 70000 passes (boundary), 69999 fails.
-    EXPECT_TRUE(diffBenchDocs(old_doc, "o",
-                              R"({"rows_per_sec":70000})", "n")
-                    .pass());
-    const BenchDiffReport fail = diffBenchDocs(
-        old_doc, "o", R"({"rows_per_sec":69999})", "n");
-    EXPECT_FALSE(fail.pass());
-    EXPECT_EQ(fail.regressions(), 1u);
-    // Improvement never gates.
-    EXPECT_TRUE(diffBenchDocs(old_doc, "o",
-                              R"({"rows_per_sec":500000})", "n")
-                    .pass());
+    const BenchDiffReport report = diffBenchRuns(
+        firstRuns(fixture("base.txt"), 9), "base.txt",
+        firstRuns(fixture("head_improved.txt"), 9), "head.txt",
+        declarations());
+    const BenchMetricDiff &sim = metricNamed(report, "sim_minstr_per_s");
+    EXPECT_EQ(sim.wins, 9u);
+    EXPECT_EQ(sim.verdict, BenchVerdict::WithinBound);
 }
 
-TEST(BenchDiff, LatencyGatesLowerBetter)
+TEST(BenchDiff, WideSpreadIsUnresolvedAndDoesNotGate)
 {
-    const std::string old_doc = R"({"p99_us":100.0})";
-    // 50% default tolerance: 150 passes, above fails.
-    EXPECT_TRUE(
-        diffBenchDocs(old_doc, "o", R"({"p99_us":150.0})", "n")
-            .pass());
-    EXPECT_FALSE(
-        diffBenchDocs(old_doc, "o", R"({"p99_us":151.0})", "n")
-            .pass());
-    // Latency going *down* never gates.
-    EXPECT_TRUE(
-        diffBenchDocs(old_doc, "o", R"({"p99_us":1.0})", "n").pass());
+    const BenchDiffReport report =
+        diffFixtures("base.txt", "head_unresolved.txt");
+    const BenchMetricDiff &train = metricNamed(report, "train_s");
+    EXPECT_EQ(train.verdict, BenchVerdict::Unresolved);
+    EXPECT_GT(train.headSpread, train.declared.bound * train.headMedian);
+    EXPECT_TRUE(report.pass());
+    EXPECT_NE(formatBenchDiff(report).find("1 unresolved"),
+              std::string::npos);
+
+    // Unless every head run beats every base run.
+    const BenchDiffReport separated = diffBenchRuns(
+        fixture("head_unresolved.txt"), "base",
+        std::regex_replace(fixture("head.txt"),
+                           std::regex(R"("train_s": \{"value": [^,]*)"),
+                           R"("train_s": {"value": 0.001)"),
+        "head", declarations());
+    EXPECT_EQ(metricNamed(separated, "train_s").verdict,
+              BenchVerdict::Improved);
 }
 
 TEST(BenchDiff, ExactMetricsGateOnAnyChange)
 {
-    EXPECT_TRUE(
-        diffBenchDocs(R"({"rows":500})", "o", R"({"rows":500})", "n")
-            .pass());
-    const BenchDiffReport report = diffBenchDocs(
-        R"({"rows":500})", "o", R"({"rows":501})", "n");
+    const BenchDiffReport report =
+        diffFixtures("base.txt", "head_cv_mae.txt");
+    EXPECT_EQ(metricNamed(report, "cv_mae").verdict,
+              BenchVerdict::Differs);
+    EXPECT_EQ(report.count(BenchVerdict::Differs), 1u);
     EXPECT_FALSE(report.pass());
-    EXPECT_EQ(metricNamed(report, "rows").policy, BenchPolicy::Exact);
 }
 
-TEST(BenchDiff, InformationalNeverGates)
+TEST(BenchDiff, IncorrectHeadRunFails)
 {
-    // Wall clock 100x worse, sha changed, retries exploded: all pass.
-    const BenchDiffReport report = diffBenchDocs(
-        R"({"wall_seconds":1.0,"git_sha":"aaa","retries":0})", "o",
-        R"({"wall_seconds":100.0,"git_sha":"bbb","retries":9999})",
-        "n");
-    EXPECT_TRUE(report.pass());
-    for (const auto &m : report.metrics)
-        EXPECT_EQ(m.policy, BenchPolicy::Informational) << m.name;
+    const BenchDiffReport report =
+        diffFixtures("base.txt", "head_incorrect.txt");
+    EXPECT_FALSE(report.headCorrect);
+    EXPECT_EQ(report.count(BenchVerdict::Regressed), 0u);
+    EXPECT_FALSE(report.pass());
+    // An incorrect base run says nothing about head.
+    EXPECT_TRUE(diffFixtures("head_incorrect.txt", "head.txt").pass());
 }
 
-TEST(BenchDiff, ToleranceOverrides)
+TEST(BenchDiff, HigherHeadFailedShareFails)
 {
-    const std::string old_doc = R"({"rows_per_sec":100000,"rows":500})";
-    // Tighten the throughput gate to 1%.
-    EXPECT_FALSE(diffBenchDocs(old_doc, "o",
-                               R"({"rows_per_sec":98000,"rows":500})",
-                               "n", {{"rows_per_sec", 0.01}})
-                     .pass());
-    // Loosen an exact metric into a symmetric band.
-    const BenchDiffReport banded = diffBenchDocs(
-        old_doc, "o", R"({"rows_per_sec":100000,"rows":510})", "n",
-        {{"rows", 0.05}});
-    EXPECT_TRUE(banded.pass());
-    EXPECT_EQ(metricNamed(banded, "rows").policy, BenchPolicy::Band);
-    // The band is symmetric: same override fails at +6%.
-    EXPECT_FALSE(diffBenchDocs(old_doc, "o",
-                               R"({"rows_per_sec":100000,"rows":530})",
-                               "n", {{"rows", 0.05}})
-                     .pass());
+    const BenchDiffReport report =
+        diffFixtures("base.txt", "head_failed.txt");
+    EXPECT_TRUE(report.headCorrect);
+    EXPECT_TRUE(report.failedShareGrew());
+    EXPECT_FALSE(report.pass());
+    EXPECT_TRUE(diffFixtures("head_failed.txt", "head.txt").pass())
+        << "a lower head share passes";
+}
 
-    // Overriding a metric in neither snapshot is a hard error.
-    EXPECT_THROW(diffBenchDocs(old_doc, "o", old_doc, "n",
-                               {{"no_such_metric", 0.1}}),
-                 FatalError);
-    EXPECT_THROW(diffBenchDocs(old_doc, "o", old_doc, "n",
-                               {{"rows", -0.1}}),
-                 FatalError);
+TEST(BenchDiff, TracedPairReportsPerLayerMetricsWithoutGating)
+{
+    const BenchDiffReport report =
+        diffFixtures("traced_base.txt", "traced_head.txt");
+    EXPECT_EQ(report.trace, 1);
+    EXPECT_TRUE(report.pass()) << formatBenchDiff(report);
+    for (const BenchMetricDiff &m : report.metrics)
+        EXPECT_EQ(m.verdict, m.declared.exact ? BenchVerdict::Identical
+                                              : BenchVerdict::Reported)
+            << m.declared.name;
+    EXPECT_EQ(report.count(BenchVerdict::Identical), 17u)
+        << "every exact per-layer metric";
+    // Even a per-layer time hundreds of times slower never gates.
+    const BenchDiffReport slower = diffBenchRuns(
+        fixture("traced_base.txt"), "base",
+        std::regex_replace(fixture("traced_head.txt"),
+                           std::regex(R"("ml.fit_s": \{"value": [^,]*)"),
+                           R"("ml.fit_s": {"value": 9)"),
+        "head", declarations());
+    EXPECT_EQ(metricNamed(slower, "ml.fit_s").verdict,
+              BenchVerdict::Reported);
+    EXPECT_TRUE(slower.pass());
+}
+
+TEST(BenchDiff, InputThatCannotBePairedIsRefused)
+{
+    const std::string base = fixture("base.txt");
+    const std::string head = fixture("head.txt");
+    // Run counts must match and be nonzero.
+    expectUncomparable(base, firstRuns(head, 9),
+                       "base.txt:19: run 10 has no partner: base.txt "
+                       "has 10 runs, head.txt has 9");
+    expectUncomparable("", "", "base.txt: no perfbench runs");
+    expectUncomparable(base, firstRuns(head, 1) + "perfbench: workload "
+                                                  "train_counters, seed "
+                                                  "2, trace 0\n",
+                       "head.txt:3: run has no result line");
+    // Each pair agrees on workload, seed and trace.
+    expectUncomparable(base, replaceFirst(head, "seed 1,", "seed 99,"),
+                       "head.txt:1: run 1 (train_counters, seed 99, "
+                       "trace 0) does not pair with base.txt:1");
+    expectUncomparable(base,
+                       std::regex_replace(head,
+                                          std::regex("train_counters"),
+                                          "sim_suite"),
+                       "does not pair");
+    expectUncomparable(firstRuns(base, 1), fixture("traced_head.txt"),
+                       "trace 1) does not pair");
+    // Each file holds one workload and one trace mode.
+    const std::string second = "workload train_counters, seed 2,";
+    const std::string mixed = "workload sim_suite, seed 2,";
+    expectUncomparable(replaceFirst(base, second, mixed),
+                       replaceFirst(head, second, mixed),
+                       "base.txt:3: workload sim_suite, trace 0 in a "
+                       "file of workload train_counters, trace 0");
+    const std::string traced =
+        firstRuns(base, 1) + fixture("traced_base.txt");
+    expectUncomparable(traced, traced,
+                       "base.txt:3: workload train_counters, trace 1 "
+                       "in a file of workload train_counters, trace 0");
+    // Every line parses.
+    expectUncomparable(base, replaceFirst(head, "}}}\n", "}}\n"),
+                       "head.txt:2");
+    for (const char *seed : {"seed one,", "seed 01,", "seed -1,",
+                             "seed 99999999999999999999,"})
+        expectUncomparable(replaceFirst(base, "seed 1,", seed), head,
+                           "base.txt:1: expected a 'perfbench: "
+                           "workload W, seed N, trace T' line");
+    expectUncomparable(base,
+                       replaceFirst(head, "\"failed\": 0",
+                                    "\"failed\": -1"),
+                       "head.txt:2: \"failed\" must be a count");
 }
 
 TEST(BenchDiff, MissingAndAddedMetrics)
 {
-    // A gated metric that vanished is a regression; a new metric and
-    // a vanished informational one are fine.
-    const BenchDiffReport report = diffBenchDocs(
-        R"({"rows_per_sec":1000,"wall_seconds":2.0})", "o",
-        R"({"fresh_metric":7})", "n");
-    EXPECT_FALSE(report.pass());
-    EXPECT_FALSE(metricNamed(report, "rows_per_sec").pass);
-    EXPECT_EQ(metricNamed(report, "rows_per_sec").note,
-              "missing in NEW");
-    EXPECT_TRUE(metricNamed(report, "wall_seconds").pass);
-    EXPECT_TRUE(metricNamed(report, "fresh_metric").pass);
-    EXPECT_EQ(metricNamed(report, "fresh_metric").note,
-              "added in NEW");
-}
-
-TEST(BenchDiff, RejectsNonFlatSnapshots)
-{
-    EXPECT_THROW(
-        diffBenchDocs(R"({"nested":{"x":1}})", "o", R"({"x":1})", "n"),
-        FatalError);
-    EXPECT_THROW(diffBenchDocs("{}", "o", R"({"x":1})", "n"),
-                 FatalError);
-    EXPECT_THROW(diffBenchDocs("not json", "o", R"({"x":1})", "n"),
-                 FatalError);
+    const std::string base = fixture("base.txt");
+    const std::string head = fixture("head.txt");
+    expectUncomparable(base,
+                       replaceFirst(head, "\"train_s\"", "\"train_ms\""),
+                       "head.txt:2: metric 'train_ms' is not declared "
+                       "in BENCHMARK.json's end_to_end list");
+    expectUncomparable(
+        std::regex_replace(base,
+                           std::regex(R"("train_s": \{[^}]*\}, )"), ""),
+        head,
+        "base.txt:2: declared end_to_end metric 'train_s' is missing");
 }
 
 TEST(BenchDiff, VerdictJsonIsSealedAndParseable)
 {
-    const BenchDiffReport report = diffBenchDocs(
-        R"({"rows_per_sec":100000,"rows":500})", "OLD.json",
-        R"({"rows_per_sec":50000,"rows":500})", "NEW.json");
-    ASSERT_FALSE(report.pass());
-
+    const BenchDiffReport report =
+        diffFixtures("base.txt", "head_regressed.txt");
     const std::string json = benchDiffToJson(report);
     EXPECT_EQ(json.find('\n'), std::string::npos)
         << "no trailing newline: truncation must break the seal";
 
     // The crc32 member covers every byte before its own suffix.
-    const std::string prefix = ",\"crc32\":";
-    const std::size_t seal = json.rfind(prefix);
+    const std::size_t seal = json.rfind(",\"crc32\":");
     ASSERT_NE(seal, std::string::npos);
-    const std::uint32_t expected = crc32(json.substr(0, seal));
+    const json::JsonValue doc = parseSealedJson(json, "verdict");
+    EXPECT_EQ(doc.find("crc32")->unsignedIntegral(),
+              crc32(json.substr(0, seal)));
+    EXPECT_EQ(doc.find("mtperf_benchdiff")->unsignedIntegral(), 2u);
+    EXPECT_FALSE(doc.find("pass")->boolean());
+    EXPECT_EQ(doc.find("regressed")->unsignedIntegral(), 1u);
+    EXPECT_EQ(doc.find("pairs")->unsignedIntegral(), 10u);
+    EXPECT_EQ(doc.find("base")->string(), kFixtures + "base.txt");
+    const json::JsonValue &train = doc.find("metrics")->array().at(4);
+    EXPECT_EQ(train.find("name")->string(), "train_s");
+    EXPECT_EQ(train.find("verdict")->string(), "regressed");
+    EXPECT_EQ(train.find("bound")->number(), 0.25);
 
-    const json::JsonValue doc = json::parseJson(json, "verdict");
-    EXPECT_EQ(doc.find("crc32")->unsignedIntegral(), expected);
-    EXPECT_EQ(doc.find("mtperf_benchdiff")->unsignedIntegral(), 1u);
-    EXPECT_EQ(doc.find("pass")->boolean(), false);
-    EXPECT_EQ(doc.find("regressions")->unsignedIntegral(), 1u);
-    EXPECT_EQ(doc.find("old")->string(), "OLD.json");
-    bool sawRegression = false;
-    for (const json::JsonValue &m : doc.find("metrics")->array()) {
-        if (m.find("name")->string() == "rows_per_sec") {
-            sawRegression = true;
-            EXPECT_FALSE(m.find("pass")->boolean());
-            EXPECT_EQ(m.find("policy")->string(), "higher_better");
-        }
-    }
-    EXPECT_TRUE(sawRegression);
+    std::string damaged = json;
+    damaged[seal / 2] ^= 0x01;
+    EXPECT_THROW(parseSealedJson(damaged, "verdict"), FatalError);
 }
 
 TEST(BenchDiff, WriteVerdictIsCrashSafeUnderFaultInjection)
@@ -229,8 +425,7 @@ TEST(BenchDiff, WriteVerdictIsCrashSafeUnderFaultInjection)
                             std::to_string(::getpid());
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/verdict.json";
-    const std::string doc = R"({"rows":1})";
-    const BenchDiffReport report = diffBenchDocs(doc, "o", doc, "n");
+    const BenchDiffReport report = diffFixtures("base.txt", "head.txt");
 
     fault::configure("obs.flush:1:1");
     EXPECT_THROW(writeBenchDiffFile(path, report),
@@ -247,27 +442,10 @@ TEST(BenchDiff, WriteVerdictIsCrashSafeUnderFaultInjection)
     std::filesystem::remove_all(dir);
 }
 
-TEST(BenchDiff, CommittedSnapshotsSelfComparePass)
-{
-    // The CI gate's base case: every committed snapshot must pass
-    // against itself (and exercises diffBenchFiles' file reader).
-    for (const char *name :
-         {"BENCH_ml.json", "BENCH_sim.json", "BENCH_serve.json"}) {
-        const std::string path =
-            std::string(MTPERF_REPO_ROOT) + "/" + name;
-        if (!std::filesystem::exists(path))
-            GTEST_SKIP() << path << " not present";
-        const BenchDiffReport report =
-            diffBenchFiles(path, path, {});
-        EXPECT_TRUE(report.pass()) << name;
-        EXPECT_GT(report.metrics.size(), 3u) << name;
-    }
-}
-
 TEST(BenchDiff, MissingFileIsFatal)
 {
-    EXPECT_THROW(diffBenchFiles("/nonexistent/old.json",
-                                "/nonexistent/new.json", {}),
+    EXPECT_THROW(diffBenchFiles("/nonexistent/base.txt",
+                                kFixtures + "head.txt", declarations()),
                  FatalError);
 }
 

@@ -696,5 +696,46 @@ TEST_F(CliCommandTest, PredictRejectsSchemaMismatch)
     EXPECT_NE(out.str().find("schema"), std::string::npos);
 }
 
+TEST_F(CliCommandTest, BenchdiffExitCodes)
+{
+    // benchdiff reads BENCHMARK.json and perfbench/protocol.json from
+    // the working directory, the checkout root perfbench runs in.
+    const std::filesystem::path cwd = std::filesystem::current_path();
+    const std::string root = MTPERF_REPO_ROOT;
+    const std::string base = "tests/data/benchdiff/base.txt";
+    const std::string head = "tests/data/benchdiff/head.txt";
+    const std::string verdict = dir_ + "/verdict.json";
+    std::filesystem::current_path(root);
+
+    std::ostringstream out;
+    EXPECT_EQ(runCommand("benchdiff", {base, head}, out), 0);
+    EXPECT_NE(out.str().find("PASS: 0 regressed"), std::string::npos)
+        << out.str();
+    EXPECT_EQ(runCommand("benchdiff", {base}, out), 2);
+    EXPECT_EQ(runCommand("benchdiff", {base, head, "--json"}, out), 2);
+    EXPECT_EQ(runCommand("benchdiff", {base, dir_ + "/none.txt"}, out),
+              3);
+    EXPECT_EQ(runCommand("benchdiff", {base, "BENCHMARK.json"}, out), 3);
+    EXPECT_EQ(runCommand("benchdiff",
+                         {base, "tests/data/benchdiff/head_regressed.txt",
+                          "--verdict-out", verdict},
+                         out),
+              kExitBenchRegression);
+    std::ifstream in(verdict);
+    const std::string sealed((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    EXPECT_NE(sealed.find("\"pass\":false"), std::string::npos);
+
+    // Outside a checkout there is no benchmark to judge by.
+    std::filesystem::current_path(dir_);
+    std::ostringstream elsewhere;
+    EXPECT_EQ(runCommand("benchdiff",
+                         {root + "/" + base, root + "/" + head},
+                         elsewhere),
+              3);
+    EXPECT_NE(elsewhere.str().find("BENCHMARK.json"), std::string::npos);
+    std::filesystem::current_path(cwd);
+}
+
 } // namespace
 } // namespace mtperf::cli

@@ -66,10 +66,11 @@ TEST(Runner, DeterministicForSeed)
     const auto a = runWorkload(tinyWorkload(), fastOptions());
     const auto b = runWorkload(tinyWorkload(), fastOptions());
     ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].counters.cycles, b[i].counters.cycles);
-        EXPECT_EQ(a[i].counters.l2LineMiss, b[i].counters.l2LineMiss);
-    }
+    for (std::size_t i = 0; i < a.size(); ++i)
+        for (const auto &field : uarch::counterFields())
+            EXPECT_EQ(a[i].counters.*(field.member),
+                      b[i].counters.*(field.member))
+                << field.name << " at section " << i;
 }
 
 TEST(Runner, SeedChangesData)

@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -27,6 +28,8 @@
 #include "ml/tree/m5prime.h"
 #include "obs/build_info.h"
 #include "obs/metrics.h"
+#include "obs/metrics_http.h"
+#include "obs/prometheus.h"
 #include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/server.h"
@@ -664,6 +667,116 @@ TEST_F(ServeTest, ActiveConnectionsGaugeReturnsToZero)
     server.wait();
     EXPECT_EQ(active.value(), baseline);
     EXPECT_EQ(server.stats().connectionsActive, baseline);
+}
+
+TEST_F(ServeTest, SixtyFourConnectionsReconcileThreeWays)
+{
+    // 64 connections open at once over 4 shards and 2 I/O loops while
+    // /metrics is scraped throughout: every reply must equal scalar
+    // predict bit for bit, and the clients, the server and the scrape
+    // must count the same rows.
+    constexpr std::size_t kConnections = 64;
+    constexpr std::size_t kDrivers = 4;
+    constexpr std::size_t kRequests = 16; // single-row, per connection
+    obs::Gauge &active = obs::gauge("serve.connections_active");
+    const std::int64_t baseline = active.value();
+
+    ServerOptions options = unixOptions("many");
+    options.shards = 4;
+    options.ioThreads = 2;
+    options.metricsHttp = true;
+    Server server(options);
+    server.start();
+    // Served rows per /metrics; -1 when the scrape fails.
+    const auto scrapeRows = [&server]() -> double {
+        const obs::HttpResponse response = obs::httpGet(
+            "127.0.0.1", server.metricsPort(), "/metrics");
+        return response.status == 200
+                   ? obs::parsePrometheusText(response.body)
+                         .valueOr("mtperf_serve_rows_predicted", -1.0)
+                   : -1.0;
+    };
+
+    std::atomic<std::uint64_t> good_scrapes{0};
+    std::atomic<std::uint64_t> bad_scrapes{0};
+    // A jthread: an early exit from the test still stops and joins it.
+    std::jthread scraper([&](const std::stop_token &stop) {
+        while (!stop.stop_requested()) {
+            try {
+                (scrapeRows() >= 0.0 ? good_scrapes : bad_scrapes)
+                    .fetch_add(1);
+            } catch (const std::exception &) {
+                bad_scrapes.fetch_add(1);
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+    });
+    const double scraped_before = scrapeRows();
+    const std::uint64_t server_before = server.stats().rowsPredicted;
+
+    std::vector<Client> clients;
+    for (std::size_t c = 0; c < kConnections; ++c)
+        clients.push_back(Client::connect("unix:" + socketPath("many"),
+                                          0));
+    const std::int64_t open =
+        baseline + static_cast<std::int64_t>(kConnections);
+    // Adoption is asynchronous (loop threads); wait for all 64.
+    for (int spin = 0; active.value() < open && spin < 5000; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(active.value(), open);
+
+    // Driver d owns connections d, d + 4, ... and keeps each busy.
+    const std::size_t width = ds_.numAttributes();
+    std::atomic<std::uint64_t> client_rows{0};
+    std::atomic<int> mismatches{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> drivers;
+    for (std::size_t d = 0; d < kDrivers; ++d) {
+        drivers.emplace_back([&, d] {
+            try {
+                for (std::size_t r = 0; r < kRequests; ++r) {
+                    for (std::size_t c = d; c < kConnections;
+                         c += kDrivers) {
+                        const auto row =
+                            ds_.row((c * kRequests + r) % ds_.size());
+                        const double served =
+                            clients[c].predict(row, width)
+                                .predictions.at(0);
+                        const double scalar = tree_.predict(row);
+                        if (std::memcmp(&served, &scalar,
+                                        sizeof served) != 0)
+                            mismatches.fetch_add(1);
+                        client_rows.fetch_add(1);
+                    }
+                }
+            } catch (const std::exception &) {
+                failures.fetch_add(1);
+            }
+        });
+    }
+    for (auto &driver : drivers)
+        driver.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(mismatches.load(), 0);
+    EXPECT_EQ(active.value(), open);
+
+    const std::uint64_t rows = client_rows.load();
+    EXPECT_EQ(rows, kConnections * kRequests);
+    EXPECT_EQ(server.stats().rowsPredicted - server_before, rows);
+    EXPECT_EQ(scrapeRows() - scraped_before, static_cast<double>(rows));
+
+    for (Client &client : clients)
+        client.close();
+    for (int spin = 0; active.value() > baseline && spin < 5000; ++spin)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_EQ(active.value(), baseline);
+
+    scraper.request_stop();
+    scraper.join();
+    EXPECT_GE(good_scrapes.load(), 1u);
+    EXPECT_EQ(bad_scrapes.load(), 0u);
+    server.requestStop();
+    server.wait();
 }
 
 TEST_F(ServeTest, DeadlineShedsStaleJobsAsRetry)

@@ -257,11 +257,11 @@ TEST_F(TelemetryServeTest, ScrapeObservesTrafficBothWays)
         client.predict(flat, kCounters);
     ASSERT_EQ(response.predictions.size(), kRows);
 
-    // HTTP scrape sees the rows...
+    // HTTP scrape sees exactly the rows...
     const obs::PrometheusScrape viaHttp = obs::parsePrometheusText(
         obs::httpGet("127.0.0.1", server.metricsPort(), "/metrics")
             .body);
-    EXPECT_GE(viaHttp.value("mtperf_serve_rows_predicted"),
+    EXPECT_EQ(viaHttp.value("mtperf_serve_rows_predicted"),
               static_cast<double>(rowsBefore + kRows));
     // ...with summary latency quantiles present.
     EXPECT_TRUE(viaHttp.has(
@@ -270,7 +270,7 @@ TEST_F(TelemetryServeTest, ScrapeObservesTrafficBothWays)
     // ...and the binary METRICS op returns the same exposition.
     const obs::PrometheusScrape viaBinary =
         obs::parsePrometheusText(client.metrics());
-    EXPECT_GE(viaBinary.value("mtperf_serve_rows_predicted"),
+    EXPECT_EQ(viaBinary.value("mtperf_serve_rows_predicted"),
               static_cast<double>(rowsBefore + kRows));
     // SLO gauges are exported on scrape even on a quiet server.
     EXPECT_TRUE(viaBinary.has("mtperf_serve_slo_healthy"));
