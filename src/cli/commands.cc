@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <functional>
 #include <memory>
 #include <ostream>
 #include <set>
@@ -388,32 +387,6 @@ humanBytes(std::uint64_t bytes)
     return formatDouble(value, whole ? 0 : 1) + kUnits[unit];
 }
 
-} // namespace
-
-namespace {
-
-/** Minimal JSON string escape (quotes, backslashes, control chars). */
-std::string
-jsonQuoted(const std::string &text)
-{
-    std::string quoted = "\"";
-    for (char c : text) {
-        if (c == '"' || c == '\\') {
-            quoted += '\\';
-            quoted += c;
-        } else if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof buf, "\\u%04x",
-                          static_cast<unsigned>(c));
-            quoted += buf;
-        } else {
-            quoted += c;
-        }
-    }
-    quoted += '"';
-    return quoted;
-}
-
 /**
  * The --json listing: canonical fixed key order (source, then
  * workloads each as name/phases/sections/workingSetMinBytes/
@@ -425,8 +398,8 @@ void
 writeWorkloadsJson(std::ostream &out,
                    const std::vector<workload::WorkloadSpec> &suite)
 {
-    out << "{\n  \"source\": "
-        << jsonQuoted(workload::suiteSourceDescription()) << ",\n"
+    out << "{\n  \"source\": \""
+        << jsonEscape(workload::suiteSourceDescription()) << "\",\n"
         << "  \"workloads\": [";
     for (std::size_t i = 0; i < suite.size(); ++i) {
         const auto &spec = suite[i];
@@ -435,9 +408,9 @@ writeWorkloadsJson(std::ostream &out,
             ws_min = std::min(ws_min, phase.params.workingSetBytes);
             ws_max = std::max(ws_max, phase.params.workingSetBytes);
         }
-        out << (i == 0 ? "\n" : ",\n") << "    {\"name\": "
-            << jsonQuoted(spec.name)
-            << ", \"phases\": " << spec.phases.size()
+        out << (i == 0 ? "\n" : ",\n") << "    {\"name\": \""
+            << jsonEscape(spec.name)
+            << "\", \"phases\": " << spec.phases.size()
             << ", \"sections\": " << spec.totalSections()
             << ", \"workingSetMinBytes\": " << ws_min
             << ", \"workingSetMaxBytes\": " << ws_max << "}";
@@ -941,9 +914,6 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
                    "most rows one inference batch coalesces");
     parser.addSize("queue-max", 8192,
                    "queued rows before the server replies RETRY");
-    parser.addSize("shards", 1,
-                   "batcher replicas; model keys spread across them "
-                   "by consistent hashing");
     parser.addSize("io-threads", 1,
                    "epoll event-loop threads multiplexing the "
                    "connections");
@@ -981,7 +951,6 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
                          std::to_string(options.queueMaxRows) +
                          ") must be at least --batch-max (" +
                          std::to_string(options.batchMaxRows) + ")");
-    options.shards = parser.getSize("shards", 1, 256);
     options.ioThreads = parser.getSize("io-threads", 1, 256);
     options.deadlineUs = parser.getSize("deadline-us", 0, 3600000000);
     options.idleTimeoutMs = static_cast<int>(
@@ -1038,10 +1007,8 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
     out << "serving " << options.modelPath << " at "
         << server.endpoint()
         << " (SIGHUP reloads, SIGINT/SIGTERM stop)\n";
-    if (options.shards > 1 || options.ioThreads > 1 ||
-        !options.models.empty()) {
+    if (options.ioThreads > 1 || !options.models.empty()) {
         out << "  " << options.ioThreads << " io-thread(s), "
-            << options.shards << " shard(s), "
             << (1 + options.models.size()) << " model(s)\n";
     }
     if (options.metricsHttp) {
@@ -1056,8 +1023,7 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
     std::signal(SIGHUP, SIG_DFL);
     g_signalServer.store(nullptr, std::memory_order_relaxed);
 
-    out << "server stopped; final stats: "
-        << server.stats().toJson() << "\n";
+    out << "server stopped\n";
     return 0;
 }
 
@@ -1078,12 +1044,9 @@ int
 cmdTop(const std::vector<std::string> &args, std::ostream &out)
 {
     ArgParser parser;
-    parser.addString("connect", "",
-                     "read metrics over the binary protocol "
-                     "(HOST[:PORT] or unix:PATH)");
     parser.addString("http", "",
                      "scrape GET /metrics at HOST:PORT (the serve "
-                     "--metrics-port listener)");
+                     "--metrics-port listener)", true);
     parser.addFlag("once", "render a single frame and exit");
     parser.addSize("interval-ms", 1000, "delay between scrapes");
     parser.addSize("frames", 0,
@@ -1093,52 +1056,34 @@ cmdTop(const std::vector<std::string> &args, std::ostream &out)
     parser.parse(args);
     applyCommonOptions(parser);
 
-    const std::string address = parser.getString("connect");
     const std::string http = parser.getString("http");
-    if (address.empty() == http.empty())
-        throw UsageError("top needs exactly one of --connect ADDRESS "
-                         "(binary protocol) or --http HOST:PORT "
-                         "(GET /metrics)");
     const std::uint64_t interval =
         parser.getSize("interval-ms", 10, 3600000);
     std::uint64_t frames = parser.getSize("frames", 0, 1000000000);
     if (parser.getFlag("once"))
         frames = 1;
 
-    std::function<std::string()> scrape;
-    std::unique_ptr<serve::Client> client;
-    std::string target;
-    if (!address.empty()) {
-        client = std::make_unique<serve::Client>(
-            serve::Client::connect(address, kDefaultServePort));
-        scrape = [&client] { return client->metrics(); };
-        target = address;
-    } else {
-        const std::size_t colon = http.rfind(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 == http.size())
-            throw UsageError("--http needs HOST:PORT, got '" + http +
-                             "'");
-        const std::string host = http.substr(0, colon);
-        std::uint64_t port_raw = 0;
-        try {
-            port_raw = parseSize(http.substr(colon + 1), "--http");
-        } catch (const FatalError &e) {
-            throw UsageError(e.what());
-        }
-        if (port_raw == 0 || port_raw > 65535)
-            throw UsageError("--http port must be in [1, 65535]");
-        const auto port = static_cast<std::uint16_t>(port_raw);
-        scrape = [host, port] {
-            const obs::HttpResponse response =
-                obs::httpGet(host, port, "/metrics");
-            if (response.status != 200)
-                mtperf_fatal("GET /metrics returned HTTP ",
-                             response.status);
-            return response.body;
-        };
-        target = http;
+    const std::size_t colon = http.rfind(':');
+    if (colon == std::string::npos || colon == 0 ||
+        colon + 1 == http.size())
+        throw UsageError("--http needs HOST:PORT, got '" + http + "'");
+    const std::string host = http.substr(0, colon);
+    std::uint64_t port_raw = 0;
+    try {
+        port_raw = parseSize(http.substr(colon + 1), "--http");
+    } catch (const FatalError &e) {
+        throw UsageError(e.what());
     }
+    if (port_raw == 0 || port_raw > 65535)
+        throw UsageError("--http port must be in [1, 65535]");
+    const auto port = static_cast<std::uint16_t>(port_raw);
+    const auto scrape = [&host, port] {
+        const obs::HttpResponse response =
+            obs::httpGet(host, port, "/metrics");
+        if (response.status != 200)
+            mtperf_fatal("GET /metrics returned HTTP ", response.status);
+        return response.body;
+    };
 
     TopSample prev{obs::parsePrometheusText(scrape()),
                    topNowSeconds()};
@@ -1150,7 +1095,7 @@ cmdTop(const std::vector<std::string> &args, std::ostream &out)
                       topNowSeconds()};
         if (frames != 1)
             out << "\x1b[2J\x1b[H"; // clear + home between frames
-        renderTopFrame(out, target, prev, cur);
+        renderTopFrame(out, http, prev, cur);
         out.flush();
         prev = std::move(cur);
     }
@@ -1302,13 +1247,13 @@ usageText()
            "  diff       before/after comparison of two CSVs\n"
            "  stack      simulator CPI stack for one suite workload\n"
            "  serve      prediction server with batched inference,\n"
-           "             hot reload (SIGHUP/RELOAD) and STATS\n"
+           "             hot reload (SIGHUP/RELOAD) and an optional\n"
+           "             GET /metrics listener (--metrics-port)\n"
            "  validate   assert the simulated event counters against\n"
            "             analytic oracle workloads (--report FILE\n"
            "             writes a CRC-sealed JSON drift report)\n"
            "  top        live terminal dashboard over a running serve\n"
-           "             daemon: --connect ADDRESS (binary METRICS\n"
-           "             op) or --http HOST:PORT (GET /metrics);\n"
+           "             daemon's --http HOST:PORT (GET /metrics);\n"
            "             --once renders one frame and exits\n"
            "  benchdiff  judge two files of perfbench runs (BASE\n"
            "             HEAD, paired by order) by the directions and\n"

@@ -19,7 +19,7 @@
  *   stack       — simulator-attributed CPI stack for one workload
  *   serve       — prediction server: batched inference over a socket
  *   top         — live terminal dashboard over a running server's
- *                 /metrics (HTTP scrape or binary METRICS op)
+ *                 HTTP /metrics scrape
  *   benchdiff   — judge base vs head perfbench runs by BENCHMARK.json's
  *                 directions and bounds; exit 6 on a regression
  *   validate    — assert the simulator's event counters against the

@@ -2,8 +2,8 @@
  * @file
  * A small strict JSON reader.
  *
- * The repository has long *emitted* JSON (metrics dumps, traces, the
- * serve STATS reply, bench reports) but could not read any back; the
+ * The repository has long *emitted* JSON (metrics dumps, traces,
+ * bench reports) but could not read any back; the
  * declarative workload language made a parser unavoidable. This one
  * is deliberately strict — it exists to validate documents a later
  * pipeline stage will trust:

@@ -11,6 +11,7 @@
 #include "common/atomic_file.h"
 #include "common/fault.h"
 #include "common/logging.h"
+#include "common/strings.h"
 #include "obs/prometheus.h"
 
 namespace mtperf::obs {
@@ -213,32 +214,6 @@ appendJsonNumber(std::ostream &os, double value)
     os << tmp.str();
 }
 
-/** Minimal JSON string escaping (quotes, backslash, control chars). */
-void
-appendJsonString(std::ostream &os, const std::string &text)
-{
-    os << '"';
-    for (char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(c));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
 } // namespace
 
 Counter &
@@ -344,7 +319,7 @@ metricsToJson()
         if (!first)
             os << ',';
         first = false;
-        appendJsonString(os, name);
+        os << '"' << jsonEscape(name) << '"';
         os << ':' << metric->value();
     }
     os << "},\"gauges\":{";
@@ -353,7 +328,7 @@ metricsToJson()
         if (!first)
             os << ',';
         first = false;
-        appendJsonString(os, name);
+        os << '"' << jsonEscape(name) << '"';
         os << ":{\"value\":" << metric->value()
            << ",\"max\":" << metric->maxValue() << '}';
     }
@@ -364,7 +339,7 @@ metricsToJson()
             os << ',';
         first = false;
         const HistogramSnapshot snap = metric->snapshot();
-        appendJsonString(os, name);
+        os << '"' << jsonEscape(name) << '"';
         os << ":{\"count\":" << snap.count() << ",\"mean\":";
         appendJsonNumber(os, snap.mean());
         os << ",\"p50\":";
@@ -381,11 +356,9 @@ metricsToJson()
         if (!first)
             os << ',';
         first = false;
-        os << "{\"name\":";
-        appendJsonString(os, violation.name);
-        os << ",\"message\":";
-        appendJsonString(os, violation.message);
-        os << '}';
+        os << "{\"name\":\"" << jsonEscape(violation.name)
+           << "\",\"message\":\"" << jsonEscape(violation.message)
+           << "\"}";
     }
     os << "]}";
     return os.str();

@@ -7,8 +7,8 @@
  * machine's performance; this module applies the same discipline to
  * mtperf itself. Every subsystem (simulator, tree trainer, CV
  * harness, thread pool, serve daemon) publishes its counters here, so
- * the serve STATS reply, the `--metrics-out` end-of-run dump and the
- * bench reports all read one source of truth.
+ * the serve `/metrics` scrape, the `--metrics-out` end-of-run dump and
+ * the bench reports all read one source of truth.
  *
  * Hot-path contract: recording is lock-free (relaxed atomics) and
  * never allocates. Call sites resolve a metric once —

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -17,6 +18,9 @@ namespace {
 
 /** Largest request head we will buffer before giving up. */
 constexpr std::size_t kMaxRequestBytes = 8192;
+
+/** The whole request head must arrive within this. */
+constexpr auto kRequestHeadTimeout = std::chrono::milliseconds(2000);
 
 std::string
 statusText(int status)
@@ -44,17 +48,25 @@ sendResponse(const net::Socket &client, int status,
 
 /**
  * Read until the blank line ending the request head (we ignore any
- * body; GET has none). @return false when the peer hung up or sent
- * more head than we buffer.
+ * body; GET has none). One deadline covers the whole head, so a
+ * client dribbling bytes cannot hold the listener's only thread.
+ * @return false when the peer hung up, was too slow, or sent more
+ * head than we buffer.
  */
 bool
 readRequestHead(const net::Socket &client, std::string &head)
 {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + kRequestHeadTimeout;
     char buf[1024];
     while (head.find("\r\n\r\n") == std::string::npos) {
         if (head.size() >= kMaxRequestBytes)
             return false;
-        if (!net::waitReadable(client.fd(), 2000))
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - Clock::now());
+        if (left.count() <= 0 ||
+            !net::waitReadable(client.fd(), static_cast<int>(left.count())))
             return false;
         const ssize_t n = ::read(client.fd(), buf, sizeof buf);
         if (n <= 0)

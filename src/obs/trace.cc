@@ -12,6 +12,7 @@
 
 #include "common/atomic_file.h"
 #include "common/fault.h"
+#include "common/strings.h"
 #include "obs/thread_info.h"
 
 namespace mtperf::obs {
@@ -107,19 +108,6 @@ appendEvent(TraceEvent event)
     buffer.events.push_back(std::move(event));
 }
 
-void
-appendJsonEscaped(std::ostream &os, const std::string &text)
-{
-    for (char c : text) {
-        if (c == '"' || c == '\\')
-            os << '\\' << c;
-        else if (static_cast<unsigned char>(c) < 0x20)
-            os << ' ';
-        else
-            os << c;
-    }
-}
-
 } // namespace
 
 void
@@ -208,15 +196,13 @@ traceToJson()
     std::ostringstream os;
     os << "{\"traceEvents\":[";
     os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-       << ",\"tid\":0,\"args\":{\"name\":\"";
-    appendJsonEscaped(os, processLabel);
-    os << "\"}}";
+       << ",\"tid\":0,\"args\":{\"name\":\"" << jsonEscape(processLabel)
+       << "\"}}";
     bool first = false;
     for (const auto &[tid, name] : namedThreads()) {
         os << ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":" << pid
-           << ",\"tid\":" << tid << ",\"args\":{\"name\":\"";
-        appendJsonEscaped(os, name);
-        os << "\"}}";
+           << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
+           << jsonEscape(name) << "\"}}";
     }
     for (const auto &buffer : buffers) {
         std::lock_guard<std::mutex> lock(buffer->mutex);
@@ -226,9 +212,8 @@ traceToJson()
             if (!first)
                 os << ',';
             first = false;
-            os << "{\"name\":\"";
-            appendJsonEscaped(os, event.name);
-            os << "\",\"cat\":\"" << event.category
+            os << "{\"name\":\"" << jsonEscape(event.name)
+               << "\",\"cat\":\"" << event.category
                << "\",\"ph\":\"" << (event.durMicros < 0 ? 'i' : 'X')
                << "\",\"ts\":" << event.tsMicros;
             if (event.durMicros >= 0)

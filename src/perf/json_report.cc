@@ -1,9 +1,9 @@
 #include "perf/json_report.h"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "perf/analyzer.h"
 
 namespace mtperf::perf {
@@ -153,41 +153,6 @@ writeLeaf(JsonWriter &json, const M5Prime &tree, std::size_t leaf)
 }
 
 } // namespace
-
-std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-                out += buffer;
-            } else {
-                out.push_back(c);
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 treeToJson(const M5Prime &tree)

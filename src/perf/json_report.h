@@ -20,9 +20,6 @@
 
 namespace mtperf::perf {
 
-/** Escape a string for inclusion in a JSON document. */
-std::string jsonEscape(const std::string &text);
-
 /**
  * Render the fitted tree as JSON: schema, options, and one object per
  * leaf (id, coverage, rules, model terms).

@@ -11,19 +11,13 @@
 namespace mtperf::serve {
 
 Batcher::Batcher(Options options, ServeStats &stats)
-    : options_(options), stats_(stats),
-      shardBatches_(obs::counter(
-          "serve.shard" + std::to_string(options.shard) + ".batches")),
-      shardBatchRows_(obs::counter(
-          "serve.shard" + std::to_string(options.shard) +
-          ".batch_rows"))
+    : options_(options), stats_(stats)
 {
     mtperf_assert(options_.batchMaxRows > 0, "batchMaxRows must be >= 1");
     mtperf_assert(options_.queueMaxRows >= options_.batchMaxRows,
                   "queueMaxRows must be >= batchMaxRows");
     worker_ = std::thread([this] {
-        obs::setCurrentThreadName(
-            "mtperf-batch-" + std::to_string(options_.shard));
+        obs::setCurrentThreadName("mtperf-batcher");
         workerLoop();
     });
 }
@@ -37,8 +31,7 @@ bool
 Batcher::submit(PredictJob &&job)
 {
     // Watermarked depth gauge: `mtperf top` reads value + max to show
-    // current pressure and the worst the queue has ever been. Shared
-    // across shards — it tracks total queued rows in the process.
+    // current pressure and the worst the queue has ever been.
     static obs::Gauge &queueRows = obs::gauge("serve.queue_rows");
     const std::size_t rows = job.rowCount();
     {
@@ -68,13 +61,6 @@ Batcher::stop()
     wake_.notify_all();
     if (worker_.joinable())
         worker_.join();
-}
-
-std::size_t
-Batcher::queuedRows() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return queuedRows_;
 }
 
 void
@@ -324,8 +310,6 @@ Batcher::runBatch(std::vector<PredictJob> &batch)
     static obs::Counter &batchRows = obs::counter("serve.batch_rows");
     batches.increment();
     batchRows.add(served_rows);
-    shardBatches_.increment();
-    shardBatchRows_.add(served_rows);
 }
 
 } // namespace mtperf::serve

@@ -4,8 +4,8 @@
  * backpressure.
  *
  * Event-loop threads convert PREDICT requests into jobs and submit
- * them here; one batcher thread per shard drains its queue, groups
- * the drained jobs by target model, coalesces each group's rows into
+ * them here; the batcher thread drains its queue, groups the drained
+ * jobs by target model, coalesces each group's rows into
  * one contiguous block, runs the model's predictBatch — which fans
  * out over the shared `common/parallel` pool — and completes each
  * job's callback. Batching is what amortizes the per-request
@@ -112,7 +112,7 @@ struct PredictJob
     }
 };
 
-/** Bounded-queue batching executor (one shard's worker). */
+/** Bounded-queue batching executor (thread `mtperf-batcher`). */
 class Batcher
 {
   public:
@@ -122,8 +122,6 @@ class Batcher
         std::size_t queueMaxRows = 8192;
         /** Shed jobs older than this at drain time (0 = never). */
         std::uint64_t deadlineUs = 0;
-        /** Shard index, for thread naming and per-shard metrics. */
-        std::size_t shard = 0;
     };
 
     /** Starts the batcher thread. @p stats must outlive it. */
@@ -142,9 +140,6 @@ class Batcher
     /** Drain every queued job, then stop the batcher thread. */
     void stop();
 
-    /** Rows currently queued (approximate; for stats). */
-    std::size_t queuedRows() const;
-
     /**
      * @name Test hooks
      * pause() holds the batcher thread before its next batch so tests
@@ -161,8 +156,6 @@ class Batcher
 
     Options options_;
     ServeStats &stats_;
-    obs::Counter &shardBatches_;   //!< serve.shard<i>.batches
-    obs::Counter &shardBatchRows_; //!< serve.shard<i>.batch_rows
 
     mutable std::mutex mutex_;
     std::condition_variable wake_;

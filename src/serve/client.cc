@@ -122,18 +122,6 @@ Client::info()
     return call(kMsgInfo, {}).payload;
 }
 
-std::string
-Client::stats()
-{
-    return call(kMsgStats, {}).payload;
-}
-
-std::string
-Client::metrics()
-{
-    return call(kMsgMetrics, {}).payload;
-}
-
 void
 Client::reload()
 {
@@ -144,40 +132,6 @@ void
 Client::shutdown()
 {
     call(kMsgShutdown, {});
-}
-
-std::uint32_t
-Client::sendPredict(std::span<const double> rows, std::size_t cols,
-                    bool want_attribution)
-{
-    PredictRequest request;
-    request.wantAttribution = want_attribution;
-    request.modelKey = options_.modelKey;
-    request.cols = static_cast<std::uint32_t>(cols);
-    request.rows = static_cast<std::uint32_t>(
-        cols == 0 ? 0 : rows.size() / cols);
-    request.values.assign(rows.begin(), rows.end());
-    if (obs::traceEnabled()) {
-        request.traceId = predictTraceId(++predictCount_);
-        obs::traceInstant("client",
-                          "client.send trace=" +
-                              obs::traceIdHex(request.traceId));
-    } else {
-        ++predictCount_;
-    }
-    const std::uint32_t id = nextId_++;
-    writeFrame(sock_.fd(),
-               Frame{kMsgPredict, id, encodePredictRequest(request)});
-    return id;
-}
-
-Frame
-Client::readReply()
-{
-    Frame reply;
-    if (!readFrame(sock_.fd(), reply, "server"))
-        mtperf_fatal("server closed the connection");
-    return reply;
 }
 
 } // namespace mtperf::serve

@@ -4,9 +4,8 @@
  *
  * One connected socket, blocking request/response with transparent
  * RETRY handling (bounded exponential backoff when the server sheds
- * load), plus a raw pipelined interface — send many PREDICT frames,
- * read replies out of order by request id. This client powers
- * `mtperf predict --connect` and the serve and telemetry tests.
+ * load). This client powers `mtperf predict --connect` and the serve
+ * and telemetry tests.
  *
  * Any server-reported failure or connection loss raises FatalError
  * carrying the server's message, so callers inherit the CLI's
@@ -114,16 +113,6 @@ class Client
     /** Model identity, schema and leaf-model listing. */
     std::string info();
 
-    /** Stats snapshot as JSON. */
-    std::string stats();
-
-    /**
-     * The server's metrics registry in Prometheus text exposition
-     * format (the binary-protocol twin of `GET /metrics`). Feed to
-     * obs::parsePrometheusText(); powers `mtperf top --connect`.
-     */
-    std::string metrics();
-
     /**
      * Ask the server to reload its model file.
      * @throw FatalError with the server's message when the new file
@@ -134,30 +123,12 @@ class Client
     /** Ask the server to shut down (acknowledged before it stops). */
     void shutdown();
 
-    /** @name Pipelined access (bench / advanced callers) */
-    ///@{
-
-    /** Send a PREDICT frame without waiting. @return its request id. */
-    std::uint32_t sendPredict(std::span<const double> rows,
-                              std::size_t cols,
-                              bool want_attribution = false);
-
-    /**
-     * Read the next reply frame (any type, any id).
-     * @throw FatalError on connection loss or a damaged frame.
-     */
-    Frame readReply();
-    ///@}
-
     void close() { sock_.close(); }
 
-    /** The backoff jitter seed this client resolved to (never 0). */
-    std::uint64_t retryJitterSeed() const { return jitterSeed_; }
-
     /**
-     * The trace id the n-th predict/sendPredict of this client gets
-     * (n counts from 1). Deterministic per client — the jitter seed
-     * mixed with the call ordinal — and never 0, so a traced request
+     * The trace id the n-th predict of this client gets (n counts
+     * from 1). Deterministic per client — the jitter seed mixed with
+     * the call ordinal — and never 0, so a traced request
      * can be located in the server's trace by a test that knows the
      * seed. Ids are only attached while obs tracing is enabled.
      */

@@ -95,28 +95,6 @@ EventLoop::send(std::uint64_t connId, std::string &&bytes,
     wake_.signal();
 }
 
-void
-EventLoop::closeSoon(std::uint64_t connId)
-{
-    if (onLoopThread()) {
-        auto it = conns_.find(connId);
-        if (it == conns_.end() || !it->second->sock_.valid())
-            return;
-        it->second->closing_ = true;
-        if (it->second->writeQueue_.empty())
-            closeConn(*it->second);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(pendingMutex_);
-        PendingOp op;
-        op.kind = PendingOp::kClose;
-        op.connId = connId;
-        pending_.push_back(std::move(op));
-    }
-    wake_.signal();
-}
-
 bool
 EventLoop::onLoopThread() const
 {
@@ -217,15 +195,6 @@ EventLoop::processPending()
                              op.closeAfter);
             break;
         }
-        case PendingOp::kClose: {
-            auto it = conns_.find(op.connId);
-            if (it == conns_.end() || !it->second->sock_.valid())
-                break;
-            it->second->closing_ = true;
-            if (it->second->writeQueue_.empty())
-                closeConn(*it->second);
-            break;
-        }
         }
     }
 }
@@ -320,10 +289,8 @@ EventLoop::enqueueWrite(Conn &conn, std::string &&bytes,
 {
     if (!conn.sock_.valid())
         return; // connection already gone; reply dropped
-    if (!bytes.empty()) {
-        conn.queuedWriteBytes_ += bytes.size();
+    if (!bytes.empty())
         conn.writeQueue_.push_back(std::move(bytes));
-    }
     if (close_after)
         conn.closing_ = true;
     flushWrites(conn);
@@ -352,7 +319,6 @@ EventLoop::flushWrites(Conn &conn)
             return;
         }
         conn.writeOffset_ += wrote;
-        conn.queuedWriteBytes_ -= wrote;
         if (conn.writeOffset_ == front.size()) {
             conn.writeQueue_.pop_front();
             conn.writeOffset_ = 0;
@@ -374,7 +340,6 @@ EventLoop::closeConn(Conn &conn)
     poller_.remove(conn.sock_.fd());
     conn.sock_.close();
     conn.writeQueue_.clear();
-    conn.queuedWriteBytes_ = 0;
     numConns_.fetch_sub(1, std::memory_order_relaxed);
     activeGauge_.add(-1);
     dead_.push_back(conn.id_); // erased at the loop-iteration edge

@@ -62,9 +62,6 @@ class Conn
     std::uint64_t id() const { return id_; }
     EventLoop &loop() const { return *loop_; }
 
-    /** Bytes accepted but not yet written to the kernel. */
-    std::size_t queuedWriteBytes() const { return queuedWriteBytes_; }
-
   private:
     friend class EventLoop;
 
@@ -74,7 +71,6 @@ class Conn
     FrameAssembler assembler_;
     std::deque<std::string> writeQueue_;
     std::size_t writeOffset_ = 0; //!< into writeQueue_.front()
-    std::size_t queuedWriteBytes_ = 0;
     bool wantWrite_ = false; //!< registered for EPOLLOUT
     bool closing_ = false;   //!< close once the write queue drains
     std::chrono::steady_clock::time_point lastActivity_;
@@ -139,9 +135,6 @@ class EventLoop
     void send(std::uint64_t connId, std::string &&bytes,
               bool close_after = false);
 
-    /** Close @p connId after its queued writes drain (any thread). */
-    void closeSoon(std::uint64_t connId);
-
     /** Open connections on this loop right now. */
     std::size_t numConnections() const
     {
@@ -154,12 +147,11 @@ class EventLoop
         enum Kind
         {
             kAdopt,
-            kSend,
-            kClose
+            kSend
         };
         Kind kind = kSend;
         net::Socket sock;          //!< kAdopt
-        std::uint64_t connId = 0;  //!< kSend / kClose
+        std::uint64_t connId = 0;  //!< kSend
         std::string bytes;         //!< kSend
         bool closeAfter = false;   //!< kSend
     };

@@ -25,11 +25,13 @@
  * Request types: PREDICT (N rows x W counters -> N CPI predictions,
  * optionally with per-row leaf ids for attribution), INFO (model
  * identity, schema, and the full leaf-model listing), RELOAD (re-read
- * the model file; the old model keeps serving if the new one is
- * corrupt), STATS (counter + latency snapshot as JSON), SHUTDOWN.
- * A successful response echoes the request type with the high bit
- * set; ERROR carries a code + message; RETRY is explicit
- * backpressure — the queue is full, resubmit after a short delay.
+ * the model files; an old model keeps serving if its new file is
+ * corrupt), SHUTDOWN. Types 4 and 6 (the retired STATS and METRICS)
+ * are answered like any unknown type; counters leave the server by
+ * its HTTP `/metrics` listener only. A successful response echoes the
+ * request type with the high bit set; ERROR carries a code + message;
+ * RETRY is explicit backpressure — the queue is full, resubmit after
+ * a short delay.
  *
  * Responses carry the request id, so a client may pipeline many
  * requests on one connection and match replies out of order.
@@ -50,10 +52,7 @@ using MsgType = std::uint8_t;
 constexpr MsgType kMsgPredict = 1;
 constexpr MsgType kMsgInfo = 2;
 constexpr MsgType kMsgReload = 3;
-constexpr MsgType kMsgStats = 4;
 constexpr MsgType kMsgShutdown = 5;
-/** Prometheus text exposition of the server's metrics registry. */
-constexpr MsgType kMsgMetrics = 6;
 
 /** OK responses echo the request type with this bit set. */
 constexpr MsgType kMsgReplyBit = 0x80;
@@ -121,13 +120,6 @@ class FrameAssembler
      * (framing is lost) — close the connection.
      */
     bool next(Frame &out, const std::string &source = "<stream>");
-
-    /** Bytes buffered but not yet consumed by next(). */
-    std::size_t
-    buffered() const
-    {
-        return buf_.size() - pos_;
-    }
 
   private:
     std::string buf_;

@@ -9,7 +9,6 @@
 #include "common/fault.h"
 #include "common/logging.h"
 #include "obs/build_info.h"
-#include "obs/prometheus.h"
 #include "obs/trace.h"
 
 namespace mtperf::serve {
@@ -30,23 +29,18 @@ loadModel(const std::string &path)
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       endpoint_(net::parseEndpoint(options_.listen, options_.port)),
-      stats_(options_.slo)
+      stats_(options_.slo),
+      batcher_({.batchMaxRows = options_.batchMaxRows,
+                .queueMaxRows = options_.queueMaxRows,
+                .deadlineUs = options_.deadlineUs},
+               stats_)
 {
-    mtperf_assert(options_.shards >= 1, "need at least one shard");
     mtperf_assert(options_.ioThreads >= 1,
                   "need at least one I/O thread");
 
-    ShardRouter::Options router_options;
-    router_options.shards = options_.shards;
-    router_options.batcher.batchMaxRows = options_.batchMaxRows;
-    router_options.batcher.queueMaxRows = options_.queueMaxRows;
-    router_options.batcher.deadlineUs = options_.deadlineUs;
-    router_ = std::make_unique<ShardRouter>(router_options, stats_);
-
-    router_->addModel(kDefaultModelKey, options_.modelPath,
-                      loadModel(options_.modelPath));
+    addModel(kDefaultModelKey, options_.modelPath);
     for (const auto &[key, path] : options_.models)
-        router_->addModel(key, path, loadModel(path));
+        addModel(key, path);
 
     if (endpoint_.unixDomain) {
         listener_ = net::listenUnix(endpoint_.path);
@@ -73,6 +67,31 @@ Server::~Server()
         ::unlink(endpoint_.path.c_str());
 }
 
+void
+Server::addModel(const std::string &key, const std::string &path)
+{
+    mtperf_assert(!key.empty() && key.size() <= kMaxModelKey,
+                  "model key must be 1..kMaxModelKey bytes");
+    mtperf_assert(findModel(key) == nullptr, "model key '", key,
+                  "' registered twice");
+    ModelEntry &entry = models_.emplace_back();
+    entry.key = key;
+    entry.path = path;
+    entry.holder.set(loadModel(path));
+}
+
+const Server::ModelEntry *
+Server::findModel(const std::string &key) const
+{
+    if (key.empty())
+        return &models_.front();
+    for (const ModelEntry &entry : models_) {
+        if (entry.key == key)
+            return &entry;
+    }
+    return nullptr;
+}
+
 std::string
 Server::endpoint() const
 {
@@ -89,8 +108,7 @@ StatsSnapshot
 Server::stats() const
 {
     StatsSnapshot s = stats_.snapshot();
-    s.shards = router_->numShards();
-    s.models = router_->numModels();
+    s.models = models_.size();
     return s;
 }
 
@@ -121,6 +139,9 @@ Server::start()
             handlers.onAccept = [this](net::Socket &&sock) {
                 onAccept(std::move(sock));
             };
+            // Fold the SLO window into the serve.slo_* gauges every
+            // tick, so a scrape sees it decay after traffic stops.
+            handlers.onTick = [this] { stats_.snapshot(); };
         }
         loops_.push_back(std::make_unique<EventLoop>(
             loop_options, std::move(handlers)));
@@ -148,17 +169,17 @@ Server::reloadNow(std::string *error)
     // batches hold their own shared_ptr snapshot of each model).
     std::lock_guard<std::mutex> lock(reloadMutex_);
     std::string messages;
-    for (ModelEntry *entry : router_->entries()) {
+    for (ModelEntry &entry : models_) {
         try {
-            entry->holder.set(loadModel(entry->path));
-            informAs("serve", "reloaded model '", entry->key,
-                     "' from ", entry->path);
+            entry.holder.set(loadModel(entry.path));
+            informAs("serve", "reloaded model '", entry.key,
+                     "' from ", entry.path);
         } catch (const std::exception &e) {
-            warnAs("serve", "reload of model '", entry->key,
+            warnAs("serve", "reload of model '", entry.key,
                    "' failed, keeping the serving model: ", e.what());
             if (!messages.empty())
                 messages += "; ";
-            messages += entry->key;
+            messages += entry.key;
             messages += ": ";
             messages += e.what();
         }
@@ -177,7 +198,7 @@ Server::wait()
         return;
     if (!started_) {
         joined_ = true;
-        router_->stop();
+        batcher_.stop();
         if (metricsServer_)
             metricsServer_->stop();
         return;
@@ -195,7 +216,7 @@ Server::wait()
     // Graceful order: drain queued predictions first (their replies
     // flush through the still-live loops), then stop the loops (which
     // nurse any remaining bytes out and close every connection).
-    router_->stop();
+    batcher_.stop();
     for (auto &loop : loops_)
         loop->stop();
     listener_.close();
@@ -251,9 +272,7 @@ Server::dispatch(Conn &conn, Frame &&request)
                           encodeError({kErrBadRequest, e.what()})});
             return;
         }
-        const ModelEntry *entry =
-            predict.modelKey.empty() ? router_->defaultEntry()
-                                     : router_->find(predict.modelKey);
+        const ModelEntry *entry = findModel(predict.modelKey);
         if (entry == nullptr) {
             stats_.countError();
             replyOn(conn,
@@ -264,6 +283,7 @@ Server::dispatch(Conn &conn, Frame &&request)
             return;
         }
         PredictJob job;
+        job.model = &entry->holder;
         job.rows = std::move(predict.values);
         job.cols = predict.cols;
         job.wantAttribution = predict.wantAttribution;
@@ -300,7 +320,7 @@ Server::dispatch(Conn &conn, Frame &&request)
                     replyStart, obs::traceNowMicros());
             }
         };
-        if (!router_->submit(*entry, std::move(job))) {
+        if (!batcher_.submit(std::move(job))) {
             stats_.countRetry();
             replyOn(conn, Frame{kMsgRetry, request.id, {}});
         }
@@ -323,19 +343,6 @@ Server::dispatch(Conn &conn, Frame &&request)
         }
         return;
     }
-    case kMsgStats:
-        replyOn(conn,
-                Frame{static_cast<MsgType>(kMsgStats | kMsgReplyBit),
-                      request.id, stats().toJson()});
-        return;
-    case kMsgMetrics:
-        // Fold the SLO window first so the scrape's serve.slo_*
-        // gauges are current even when traffic has gone quiet.
-        stats_.snapshot();
-        replyOn(conn,
-                Frame{static_cast<MsgType>(kMsgMetrics | kMsgReplyBit),
-                      request.id, obs::metricsToPrometheus()});
-        return;
     case kMsgShutdown:
         replyOn(conn,
                 Frame{static_cast<MsgType>(kMsgShutdown | kMsgReplyBit),
@@ -357,16 +364,15 @@ Server::dispatch(Conn &conn, Frame &&request)
 std::string
 Server::infoText() const
 {
-    const ModelEntry *entry = router_->defaultEntry();
-    const std::shared_ptr<const M5Prime> model = entry->holder.get();
+    const std::shared_ptr<const M5Prime> model =
+        models_.front().holder.get();
     std::ostringstream os;
     os << "build " << obs::buildSummary() << "\n";
     os << "model M5Prime\n";
     os << "source " << options_.modelPath << "\n";
-    os << "shards " << router_->numShards() << "\n";
-    os << "models " << router_->numModels();
-    for (const ModelEntry *e : router_->entries())
-        os << " " << e->key << "=shard" << e->shard;
+    os << "models " << models_.size();
+    for (const ModelEntry &entry : models_)
+        os << " " << entry.key;
     os << "\n";
     const Schema &schema = model->schema();
     os << "attributes " << schema.numAttributes();

@@ -5,23 +5,24 @@
  * A small fixed set of epoll event-loop threads (serve/event_loop.h)
  * multiplexes every client connection; loop 0 owns the listening
  * socket (TCP or Unix-domain, chosen by the listen address) and deals
- * accepted connections round-robin across the loops. PREDICT frames
- * become jobs routed by model key through the shard router
- * (serve/router.h) onto one of `shards` batcher replicas; each
- * batcher coalesces its jobs and runs predictBatch over the shared
- * thread pool. The lifecycle:
+ * accepted connections round-robin across the loops. The server keeps
+ * a registry of models by key ("default" for `modelPath`, then
+ * `models` in order); PREDICT frames become jobs for the keyed model
+ * on the one batcher (serve/batcher.h), which coalesces them and runs
+ * one predictBatch per model over the shared thread pool. The
+ * lifecycle:
  *
  *   Server server(options);   // loads the models, binds, listens
- *   server.start();           // spawns the I/O loops (batchers run)
+ *   server.start();           // spawns the I/O loops (batcher runs)
  *   server.wait();            // blocks until SHUTDOWN/requestStop()
  *
  * Hot reload (RELOAD request or requestReload(), wired to SIGHUP by
  * the CLI) re-reads every model file and swaps each in atomically via
- * shared_ptr — per-entry, so each shard hot-swaps independently; when
- * a replacement is corrupt that entry's old model keeps serving and
- * the reloader gets the loader's error message. Stopping is graceful:
- * queued predictions complete and flush through the live loops,
- * connections close, and a final stats snapshot remains readable.
+ * shared_ptr, one entry at a time; when a replacement is corrupt that
+ * entry's old model keeps serving and the reloader gets the loader's
+ * error message. Stopping is graceful: queued predictions complete
+ * and flush through the live loops, connections close, and a final
+ * stats snapshot remains readable.
  *
  * Fault sites `serve.accept` and `serve.read` (common/fault) let
  * tests rehearse a dying accept path and mid-frame connection drops
@@ -33,6 +34,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,8 +43,8 @@
 
 #include "common/socket.h"
 #include "obs/metrics_http.h"
+#include "serve/batcher.h"
 #include "serve/event_loop.h"
-#include "serve/router.h"
 #include "serve/stats.h"
 
 namespace mtperf::serve {
@@ -57,7 +59,6 @@ struct ServerOptions
     std::uint16_t port = 0;           //!< TCP port when listen has none
     std::size_t batchMaxRows = 256;
     std::size_t queueMaxRows = 8192;
-    std::size_t shards = 1;           //!< batcher replicas
     std::size_t ioThreads = 1;        //!< epoll event loops
     std::uint64_t deadlineUs = 0;     //!< shed jobs queued longer (0 = off)
     int pollIntervalMs = 50;          //!< stop/reload responsiveness
@@ -85,7 +86,7 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Spawn the I/O loops (the batchers already run). */
+    /** Spawn the I/O loops (the batcher already runs). */
     void start();
 
     /** Block until the server stopped, then release every thread. */
@@ -116,6 +117,17 @@ class Server
     StatsSnapshot stats() const;
 
   private:
+    /** One registered model: key, source path, swappable holder. */
+    struct ModelEntry
+    {
+        std::string key;
+        std::string path; //!< file the model (re)loads from
+        ModelHolder holder;
+    };
+
+    void addModel(const std::string &key, const std::string &path);
+    /** The entry for @p key (empty = the default), or nullptr. */
+    const ModelEntry *findModel(const std::string &key) const;
     void onAccept(net::Socket &&sock);
     void dispatch(Conn &conn, Frame &&request);
     void onProtocolError(Conn &conn, const std::string &message);
@@ -129,7 +141,10 @@ class Server
     net::Socket listener_;
 
     ServeStats stats_;
-    std::unique_ptr<ShardRouter> router_;
+    /** Registration order, default first. A deque: a ModelHolder
+     *  cannot move (it owns a mutex) and queued jobs point at it. */
+    std::deque<ModelEntry> models_;
+    Batcher batcher_;
     std::vector<std::unique_ptr<EventLoop>> loops_;
     std::atomic<std::size_t> nextLoop_{0}; //!< round-robin dealing
     std::unique_ptr<obs::MetricsHttpServer> metricsServer_;

@@ -13,6 +13,7 @@ SloTracker::SloTracker(SloOptions options)
                       options_.errorBudget > 0.0 &&
                       options_.latencyObjectiveUs > 0.0,
                   "bad SLO options");
+    snapshot(); // create the gauges before the first scrape
 }
 
 std::int64_t
@@ -81,40 +82,18 @@ SloTracker::exportGauges(const SloSnapshot &snap)
 void
 SloTracker::recordLatency(double latencyUs)
 {
-    SloSnapshot exported;
-    bool doExport = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::int64_t second = nowSecond();
-        Bucket &bucket = bucketFor(second);
-        ++bucket.requests;
-        if (latencyUs > options_.latencyObjectiveUs)
-            ++bucket.violations;
-        // Refresh the exported gauges at most once per second, so
-        // scrapes stay fresh without a per-request window fold.
-        if (second != lastExportSecond_) {
-            lastExportSecond_ = second;
-            exported = fold(second);
-            doExport = true;
-        }
-    }
-    if (doExport)
-        exportGauges(exported);
+    std::lock_guard<std::mutex> lock(mutex_);
+    Bucket &bucket = bucketFor(nowSecond());
+    ++bucket.requests;
+    if (latencyUs > options_.latencyObjectiveUs)
+        ++bucket.violations;
 }
 
 void
 SloTracker::recordError()
 {
-    SloSnapshot exported;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const std::int64_t second = nowSecond();
-        ++bucketFor(second).errors;
-        lastExportSecond_ = second;
-        exported = fold(second);
-    }
-    // Errors are rare; always push them to the gauges immediately.
-    exportGauges(exported);
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++bucketFor(nowSecond()).errors;
 }
 
 SloSnapshot

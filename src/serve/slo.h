@@ -19,10 +19,11 @@
  * exported gauges at every interval.
  *
  * Recording is mutex-guarded but cheap (one lock per completed
- * request on the batcher thread, far off the predict hot loop), and
- * the exported gauges (`serve.slo_*`) are updated on snapshot and on
- * bucket rotation so scrapes see fresh values without the scraper
- * touching the tracker.
+ * request on the batcher thread, far off the predict hot loop) and
+ * only counts. The exported gauges (`serve.slo_*`) exist from
+ * construction and change only on snapshot(); the server calls it on
+ * every I/O-loop tick, so scrapes see the window age out even when
+ * traffic stops, without the scraper touching the tracker.
  */
 
 #ifndef MTPERF_SERVE_SLO_H_
@@ -66,6 +67,7 @@ class SloTracker
     /** A request failed with an ERROR reply. */
     void recordError();
 
+    /** Fold the window and export it to the `serve.slo_*` gauges. */
     SloSnapshot snapshot();
 
     const SloOptions &options() const { return options_; }
@@ -90,7 +92,6 @@ class SloTracker
     const Clock::time_point epoch_;
     std::mutex mutex_;
     std::vector<Bucket> buckets_;
-    std::int64_t lastExportSecond_ = -1;
 };
 
 } // namespace mtperf::serve

@@ -42,7 +42,6 @@ ServeStats::ServeStats(SloOptions slo)
     base_.deadlineExpired = deadlineExpired_.value();
     base_.reloads = reloads_.value();
     base_.reloadFailures = reloadFailures_.value();
-    baseLatency_ = latency_.snapshot();
 
     // Cross-validate the pipeline's own bookkeeping: every row the
     // stats claim was predicted must have passed through a batch (the
@@ -90,40 +89,8 @@ ServeStats::snapshot() const
     s.connectionsActive = connectionsActive_.value();
     s.reloads = reloads_.value() - base_.reloads;
     s.reloadFailures = reloadFailures_.value() - base_.reloadFailures;
-    obs::HistogramSnapshot lat = latency_.snapshot();
-    lat.subtract(baseLatency_);
-    s.p50Micros = lat.percentile(0.50);
-    s.p95Micros = lat.percentile(0.95);
-    s.p99Micros = lat.percentile(0.99);
     s.slo = slo_.snapshot();
     return s;
-}
-
-std::string
-StatsSnapshot::toJson() const
-{
-    std::ostringstream os;
-    os << "{\"connections\":" << connections
-       << ",\"requests\":" << requests
-       << ",\"predict_requests\":" << predictRequests
-       << ",\"rows_predicted\":" << rowsPredicted
-       << ",\"errors\":" << errors << ",\"retries\":" << retries
-       << ",\"deadline_expired\":" << deadlineExpired
-       << ",\"reloads\":" << reloads
-       << ",\"reload_failures\":" << reloadFailures
-       << ",\"connections_active\":" << connectionsActive
-       << ",\"shards\":" << shards << ",\"models\":" << models
-       << ",\"latency_us\":{\"p50\":" << p50Micros
-       << ",\"p95\":" << p95Micros << ",\"p99\":" << p99Micros
-       << "},\"slo\":{\"objective_us\":" << slo.latencyObjectiveUs
-       << ",\"error_budget\":" << slo.errorBudget
-       << ",\"window_s\":" << slo.windowSeconds
-       << ",\"window_requests\":" << slo.requests
-       << ",\"violations\":" << slo.violations
-       << ",\"errors\":" << slo.errors
-       << ",\"burn_rate\":" << slo.burnRate << ",\"healthy\":"
-       << (slo.healthy ? "true" : "false") << "}}";
-    return os.str();
 }
 
 } // namespace mtperf::serve

@@ -9,10 +9,10 @@
  * inside the bucket instead of reporting the bucket's upper bound,
  * and merge/subtract support. ServeStats keeps its per-instance
  * semantics (a fresh server starts at zero even though the registry
- * is process-wide) by capturing a baseline of the shared
- * `serve.*` metrics at construction and reporting deltas: the same
- * numbers thus appear in STATS replies, in `--metrics-out` dumps,
- * and in bench reports, from one source of truth.
+ * is process-wide) by capturing a baseline of the shared `serve.*`
+ * counters at construction and reporting deltas: the same numbers
+ * thus appear in Server::stats(), in `/metrics` scrapes and in
+ * `--metrics-out` dumps, from one source of truth.
  *
  * Everything stays lock-free (relaxed atomics): the counters sit on
  * the request hot path and must not serialize connection threads.
@@ -22,7 +22,6 @@
 #define MTPERF_SERVE_STATS_H_
 
 #include <cstdint>
-#include <string>
 
 #include "obs/metrics.h"
 #include "serve/slo.h"
@@ -42,15 +41,8 @@ struct StatsSnapshot
     std::uint64_t reloads = 0;      //!< successful hot reloads
     std::uint64_t reloadFailures = 0;
     std::int64_t connectionsActive = 0; //!< open connections right now
-    std::size_t shards = 0;         //!< batcher shards (0 = not set)
     std::size_t models = 0;         //!< registered models (0 = not set)
-    double p50Micros = 0.0;         //!< predict service latency
-    double p95Micros = 0.0;
-    double p99Micros = 0.0;
     SloSnapshot slo;                //!< sliding-window SLO view
-
-    /** Flat JSON rendering ({"requests":N,...,"slo":{...}}). */
-    std::string toJson() const;
 };
 
 /**
@@ -86,6 +78,7 @@ class ServeStats
         slo_.recordLatency(micros);
     }
 
+    /** Also folds the SLO window into the `serve.slo_*` gauges. */
     StatsSnapshot snapshot() const;
 
   private:
@@ -103,7 +96,6 @@ class ServeStats
 
     /** Registry values when this instance was created. */
     StatsSnapshot base_;
-    obs::HistogramSnapshot baseLatency_;
 
     /** Per-instance by construction; no baseline delta needed. */
     mutable SloTracker slo_;

@@ -130,7 +130,7 @@ TEST_F(EchoLoopTest, CrossThreadSendReachesTheConnection)
     // This thread is not the loop thread, so this send takes the
     // pending-op + eventfd wakeup path.
     Frame push;
-    push.type = static_cast<MsgType>(kMsgStats | kMsgReplyBit);
+    push.type = static_cast<MsgType>(kMsgInfo | kMsgReplyBit);
     push.id = 99;
     push.payload = "unsolicited";
     loop_->send(lastConnId_.load(), encodeFrame(push));

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "perf/json_report.h"
 
 namespace mtperf::perf {

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "common/fault.h"
+#include "common/json.h"
 #include "obs/thread_info.h"
 #include "obs/trace.h"
 
@@ -138,6 +139,24 @@ TEST(ObsTrace, SpansAndInstantsAppearInJson)
     EXPECT_NE(json.find("marker.one"), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
+}
+
+TEST(ObsTrace, ControlCharactersInSpanNamesRoundTrip)
+{
+    const std::string name = "line\none\x01two \"q\" back\\slash";
+    startTrace();
+    {
+        ScopedSpan span("test", name);
+    }
+    stopTrace();
+
+    const json::JsonValue doc =
+        json::parseJson(traceToJson(), "trace");
+    bool found = false;
+    for (const json::JsonValue &event :
+         doc.find("traceEvents")->array())
+        found = found || event.find("name")->string() == name;
+    EXPECT_TRUE(found) << "span name did not survive the JSON trip";
 }
 
 TEST(ObsTrace, StartTraceBeginsAFreshSession)

@@ -167,25 +167,19 @@ TEST_F(ServeTest, ConcurrentClientsMatchOfflineByteForByte)
         }
     }
 
-    // STATS must reconcile with what the clients sent.
-    Client stats_client = Client::connect(address, 0);
-    const std::string stats = stats_client.stats();
-    EXPECT_NE(stats.find("\"rows_predicted\":10000"),
-              std::string::npos)
-        << stats;
-    EXPECT_NE(stats.find("\"errors\":0"), std::string::npos) << stats;
-
+    // The server's counts must reconcile with what the clients sent.
     server.requestStop();
     server.wait();
     const StatsSnapshot snapshot = server.stats();
     EXPECT_EQ(snapshot.rowsPredicted, 10000u);
-    EXPECT_EQ(snapshot.connections, 5u);
+    EXPECT_EQ(snapshot.errors, 0u);
+    EXPECT_EQ(snapshot.connections, 4u);
 }
 
 TEST_F(ServeTest, StatsReconcileWithTheSharedMetricsRegistry)
 {
     // ServeStats is a per-instance view over the process-wide obs
-    // registry: the STATS numbers must equal the registry deltas.
+    // registry: its numbers must equal the registry deltas.
     const std::uint64_t rows_before =
         obs::counter("serve.rows_predicted").value();
     const std::uint64_t batched_before =
@@ -366,12 +360,39 @@ TEST_F(ServeTest, GarbageOnTheWireGetsErrorNotCrash)
         net::Socket raw = net::connectTo(
             net::parseEndpoint(address, 0), 2000);
         const std::string frame =
-            encodeFrame(Frame{kMsgStats, 1, {}});
+            encodeFrame(Frame{kMsgInfo, 1, {}});
         net::writeAll(raw.fd(), frame.data(), frame.size() / 2);
     }
 
     Client client = Client::connect(address, 0);
     EXPECT_NE(client.info().find("M5Prime"), std::string::npos);
+}
+
+TEST_F(ServeTest, RetiredStatsAndMetricsTypesAreUnknown)
+{
+    // Types 4 and 6 were STATS and METRICS; counters now leave the
+    // server by /metrics only, so both get the unknown-type error and
+    // the connection keeps serving.
+    Server server(unixOptions("retired"));
+    server.start();
+    net::Socket raw = net::connectTo(
+        net::parseEndpoint("unix:" + socketPath("retired"), 0), 2000);
+    for (const MsgType type : {MsgType{4}, MsgType{6}}) {
+        writeFrame(raw.fd(), Frame{type, type, {}});
+        Frame reply;
+        ASSERT_TRUE(readFrame(raw.fd(), reply, "server"));
+        EXPECT_EQ(reply.type, kMsgError);
+        EXPECT_EQ(reply.id, type);
+        const ErrorInfo error = decodeError(reply.payload);
+        EXPECT_EQ(error.code, kErrBadRequest);
+        EXPECT_EQ(error.message,
+                  "unknown request type " + std::to_string(type));
+    }
+    writeFrame(raw.fd(), Frame{kMsgInfo, 9, {}});
+    Frame info;
+    ASSERT_TRUE(readFrame(raw.fd(), info, "server"));
+    EXPECT_EQ(info.type, kMsgInfo | kMsgReplyBit);
+    EXPECT_NE(info.payload.find("M5Prime"), std::string::npos);
 }
 
 TEST_F(ServeTest, ClientRecoversAfterServerDeath)
@@ -495,18 +516,27 @@ TEST_F(ServeTest, InjectedAcceptFaultDropsOneConnectionOnly)
     EXPECT_GE(server.stats().errors, 1u);
 }
 
-TEST_F(ServeTest, ShardedServerMatchesOfflineByteForByte)
+TEST_F(ServeTest, MultiLoopMultiModelServerMatchesOfflineByteForByte)
 {
-    // The full internet-scale topology: several epoll loops, several
-    // batcher shards, concurrent clients — results must still be
-    // byte-identical to the scalar offline walk.
-    ServerOptions options = unixOptions("sharded");
-    options.shards = 4;
+    // Several epoll loops, two models behind the one batcher and
+    // concurrent clients for each: a drained batch mixes both models'
+    // jobs, and every reply must still equal its own model's scalar
+    // offline walk.
+    const std::string alt_path = dir_ + "/alt.m5";
+    M5Options alt_options;
+    alt_options.minInstances = 400; // coarser tree => different fits
+    M5Prime alt(alt_options);
+    alt.fit(ds_);
+    alt.saveFile(alt_path);
+
+    ServerOptions options = unixOptions("multi");
     options.ioThreads = 3;
+    options.models.emplace_back("alt", alt_path);
     Server server(options);
     server.start();
-    const std::string address = "unix:" + socketPath("sharded");
+    const std::string address = "unix:" + socketPath("multi");
 
+    // Even clients use the default model, odd ones key "alt".
     constexpr std::size_t kClients = 6;
     constexpr std::size_t kRowsPerClient = 500;
     constexpr std::size_t kChunk = 61;
@@ -517,7 +547,11 @@ TEST_F(ServeTest, ShardedServerMatchesOfflineByteForByte)
     for (std::size_t t = 0; t < kClients; ++t) {
         threads.emplace_back([&, t] {
             try {
-                Client client = Client::connect(address, 0);
+                Client::Options client_options;
+                if (t % 2 == 1)
+                    client_options.modelKey = "alt";
+                Client client =
+                    Client::connect(address, 0, client_options);
                 for (std::size_t first = 0; first < kRowsPerClient;
                      first += kChunk) {
                     const std::size_t count =
@@ -546,9 +580,10 @@ TEST_F(ServeTest, ShardedServerMatchesOfflineByteForByte)
         thread.join();
     ASSERT_EQ(failures.load(), 0);
     for (std::size_t t = 0; t < kClients; ++t) {
+        const M5Prime &model = t % 2 == 1 ? alt : tree_;
         ASSERT_EQ(results[t].size(), kRowsPerClient);
         for (std::size_t r = 0; r < kRowsPerClient; ++r) {
-            const double offline = tree_.predict(
+            const double offline = model.predict(
                 ds_.row((t * kRowsPerClient + r) % ds_.size()));
             EXPECT_EQ(std::memcmp(&offline, &results[t][r],
                                   sizeof offline),
@@ -561,8 +596,7 @@ TEST_F(ServeTest, ShardedServerMatchesOfflineByteForByte)
     server.wait();
     const StatsSnapshot snapshot = server.stats();
     EXPECT_EQ(snapshot.rowsPredicted, kClients * kRowsPerClient);
-    EXPECT_EQ(snapshot.shards, 4u);
-    EXPECT_EQ(snapshot.models, 1u);
+    EXPECT_EQ(snapshot.models, 2u);
 }
 
 TEST_F(ServeTest, ModelKeyRoutesToTheKeyedModel)
@@ -578,7 +612,6 @@ TEST_F(ServeTest, ModelKeyRoutesToTheKeyedModel)
     alt.saveFile(alt_path);
 
     ServerOptions options = unixOptions("keyed");
-    options.shards = 3;
     options.models.emplace_back("alt", alt_path);
     Server server(options);
     server.start();
@@ -621,7 +654,9 @@ TEST_F(ServeTest, ModelKeyRoutesToTheKeyedModel)
     bad_options.modelKey = "no-such-model";
     Client bad = Client::connect(address, 0, bad_options);
     EXPECT_THROW(bad.predict(flat, width), FatalError);
-    EXPECT_NE(plain.info().find("models 2"), std::string::npos);
+    const std::string info = plain.info();
+    EXPECT_NE(info.find("\nmodels 2 default alt\n"), std::string::npos)
+        << info;
 
     server.requestStop();
     server.wait();
@@ -671,7 +706,7 @@ TEST_F(ServeTest, ActiveConnectionsGaugeReturnsToZero)
 
 TEST_F(ServeTest, SixtyFourConnectionsReconcileThreeWays)
 {
-    // 64 connections open at once over 4 shards and 2 I/O loops while
+    // 64 connections open at once over 2 I/O loops while
     // /metrics is scraped throughout: every reply must equal scalar
     // predict bit for bit, and the clients, the server and the scrape
     // must count the same rows.
@@ -682,7 +717,6 @@ TEST_F(ServeTest, SixtyFourConnectionsReconcileThreeWays)
     const std::int64_t baseline = active.value();
 
     ServerOptions options = unixOptions("many");
-    options.shards = 4;
     options.ioThreads = 2;
     options.metricsHttp = true;
     Server server(options);

@@ -2,13 +2,15 @@
  * @file
  * End-to-end tests for the live telemetry plane: Prometheus text
  * exposition and its parser, the GET-only /metrics HTTP responder,
- * the binary-protocol METRICS op, `mtperf top --once`, request-scoped
- * trace propagation (client span chain joined to the server's by one
- * trace id), the serve SLO tracker, and `mtperf version --json`.
+ * `mtperf top --once`, request-scoped trace propagation (client span
+ * chain joined to the server's by one trace id), the serve SLO
+ * tracker and its gauges, and `mtperf version --json`.
  */
 
+#include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -231,8 +233,36 @@ TEST(MetricsHttp, ServesScrapesAndRejectsOtherRequests)
     server.stop(); // idempotent
 }
 
+TEST(MetricsHttp, DribblingClientCannotStallScrapes)
+{
+    // The listener has one thread: a client sending its request head
+    // a byte at a time must lose it after the head deadline, so a
+    // real scrape still gets through.
+    obs::MetricsHttpServer server({.host = "127.0.0.1", .port = 0});
+    server.start();
+    net::Socket slow = net::connectTo(
+        net::parseEndpoint("127.0.0.1", server.port()), 2000);
+    // A jthread: a failed scrape's exception still stops and joins it.
+    std::jthread dribbler([&slow](const std::stop_token &stop) {
+        // A byte every 200 ms for 8 s, or until the server hangs up.
+        for (int i = 0; i < 40 && !stop.stop_requested(); ++i) {
+            if (::send(slow.fd(), "G", 1, MSG_NOSIGNAL) != 1)
+                return;
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+    const obs::HttpResponse response =
+        obs::httpGet("127.0.0.1", server.port(), "/metrics", 5000);
+    EXPECT_EQ(response.status, 200);
+
+    dribbler.join();
+    server.stop();
+}
+
 // ---------------------------------------------------------------
-// Serve integration: HTTP scrape + binary METRICS + SLO + tracing
+// Serve integration: HTTP scrape + SLO + tracing
 
 TEST_F(TelemetryServeTest, ScrapeObservesTrafficBothWays)
 {
@@ -263,17 +293,10 @@ TEST_F(TelemetryServeTest, ScrapeObservesTrafficBothWays)
             .body);
     EXPECT_EQ(viaHttp.value("mtperf_serve_rows_predicted"),
               static_cast<double>(rowsBefore + kRows));
-    // ...with summary latency quantiles present.
+    // ...with summary latency quantiles and the SLO gauges present.
     EXPECT_TRUE(viaHttp.has(
         "mtperf_serve_predict_micros{quantile=\"0.99\"}"));
-
-    // ...and the binary METRICS op returns the same exposition.
-    const obs::PrometheusScrape viaBinary =
-        obs::parsePrometheusText(client.metrics());
-    EXPECT_EQ(viaBinary.value("mtperf_serve_rows_predicted"),
-              static_cast<double>(rowsBefore + kRows));
-    // SLO gauges are exported on scrape even on a quiet server.
-    EXPECT_TRUE(viaBinary.has("mtperf_serve_slo_healthy"));
+    EXPECT_TRUE(viaHttp.has("mtperf_serve_slo_healthy"));
 
     client.shutdown();
     server.wait();
@@ -337,14 +360,57 @@ TEST_F(TelemetryServeTest, SloObjectiveMissesSurfaceInStats)
     const std::vector<double> flat = flatRows(100);
     client.predict(flat, kCounters);
 
-    const std::string stats = client.stats();
-    const json::JsonValue doc = json::parseJson(stats, "STATS");
-    const json::JsonValue *slo = doc.find("slo");
-    ASSERT_NE(slo, nullptr) << stats;
-    EXPECT_DOUBLE_EQ(slo->find("objective_us")->number(), 0.001);
-    EXPECT_GE(slo->find("violations")->unsignedIntegral(), 1u);
-    EXPECT_FALSE(slo->find("healthy")->boolean());
-    EXPECT_GT(slo->find("burn_rate")->number(), 1.0);
+    const serve::SloSnapshot slo = server.stats().slo;
+    EXPECT_DOUBLE_EQ(slo.latencyObjectiveUs, 0.001);
+    EXPECT_GE(slo.violations, 1u);
+    EXPECT_FALSE(slo.healthy);
+    EXPECT_GT(slo.burnRate, 1.0);
+
+    client.shutdown();
+    server.wait();
+}
+
+TEST_F(TelemetryServeTest, SloGaugesDecayOverHttpWhenTrafficStops)
+{
+    // Violating traffic in a 1 s window until the scrape shows it;
+    // then, with no further traffic and nothing reading the server
+    // but the scrape, the window must empty and read healthy again.
+    serve::ServerOptions options = unixOptions("slo-decay");
+    options.metricsHttp = true;
+    options.slo.latencyObjectiveUs = 0.001; // everything violates
+    options.slo.windowSeconds = 1;
+    serve::Server server(options);
+    server.start();
+    const auto scrape = [&server] {
+        return obs::parsePrometheusText(
+            obs::httpGet("127.0.0.1", server.metricsPort(), "/metrics")
+                .body);
+    };
+
+    serve::Client client = serve::Client::connect(
+        "unix:" + socketPath("slo-decay"), 7077);
+    const std::vector<double> row = flatRows(1);
+    bool violated = false;
+    for (int attempt = 0; attempt < 100 && !violated; ++attempt) {
+        client.predict(row, kCounters);
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        const obs::PrometheusScrape s = scrape();
+        violated = s.value("mtperf_serve_slo_window_requests") >= 1.0 &&
+                   s.value("mtperf_serve_slo_healthy") == 0.0;
+    }
+    ASSERT_TRUE(violated) << "the violations never reached the scrape";
+
+    bool decayed = false;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!decayed && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const obs::PrometheusScrape s = scrape();
+        decayed = s.value("mtperf_serve_slo_window_requests") == 0.0 &&
+                  s.value("mtperf_serve_slo_healthy") == 1.0;
+    }
+    EXPECT_TRUE(decayed)
+        << "the SLO gauges did not decay once traffic stopped";
 
     client.shutdown();
     server.wait();
@@ -399,33 +465,19 @@ TEST_F(TelemetryServeTest, TopOnceRendersDashboardFromLiveServer)
     const std::vector<double> flat = flatRows(200);
     client.predict(flat, kCounters);
 
-    // Binary-protocol flavor.
-    {
-        std::ostringstream out;
-        const int rc = cli::runCommand(
-            "top",
-            {"--connect", "unix:" + socketPath("top"), "--once",
-             "--interval-ms", "10"},
-            out);
-        EXPECT_EQ(rc, 0) << out.str();
-        EXPECT_NE(out.str().find("requests/s"), std::string::npos);
-        EXPECT_NE(out.str().find("latency us"), std::string::npos);
-        EXPECT_NE(out.str().find("SLO"), std::string::npos);
-        EXPECT_EQ(out.str().find("\x1b[2J"), std::string::npos)
-            << "--once must not clear the caller's terminal";
-    }
-    // HTTP flavor.
-    {
-        std::ostringstream out;
-        const int rc = cli::runCommand(
-            "top",
-            {"--http",
-             "127.0.0.1:" + std::to_string(server.metricsPort()),
-             "--once", "--interval-ms", "10"},
-            out);
-        EXPECT_EQ(rc, 0) << out.str();
-        EXPECT_NE(out.str().find("rows/s"), std::string::npos);
-    }
+    std::ostringstream out;
+    const int rc = cli::runCommand(
+        "top",
+        {"--http", "127.0.0.1:" + std::to_string(server.metricsPort()),
+         "--once", "--interval-ms", "10"},
+        out);
+    EXPECT_EQ(rc, 0) << out.str();
+    EXPECT_NE(out.str().find("requests/s"), std::string::npos);
+    EXPECT_NE(out.str().find("rows/s"), std::string::npos);
+    EXPECT_NE(out.str().find("latency us"), std::string::npos);
+    EXPECT_NE(out.str().find("SLO"), std::string::npos);
+    EXPECT_EQ(out.str().find("\x1b[2J"), std::string::npos)
+        << "--once must not clear the caller's terminal";
 
     client.shutdown();
     server.wait();
@@ -434,13 +486,11 @@ TEST_F(TelemetryServeTest, TopOnceRendersDashboardFromLiveServer)
 TEST(CliTop, UsageErrors)
 {
     std::ostringstream out;
-    // Neither --connect nor --http.
+    // No --http.
     EXPECT_EQ(cli::runCommand("top", {"--once"}, out), 2);
-    // Both at once.
-    EXPECT_EQ(cli::runCommand("top",
-                              {"--connect", "unix:/tmp/x", "--http",
-                               "127.0.0.1:1", "--once"},
-                              out),
+    // The binary-protocol flavor is gone.
+    EXPECT_EQ(cli::runCommand(
+                  "top", {"--connect", "unix:/tmp/x", "--once"}, out),
               2);
     // Malformed --http.
     EXPECT_EQ(cli::runCommand("top", {"--http", "nohost", "--once"},
