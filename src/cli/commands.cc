@@ -910,16 +910,9 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
                      "bind address: HOST, HOST:PORT or unix:PATH");
     parser.addSize("port", kDefaultServePort,
                    "TCP port when --listen has none (0 = ephemeral)");
-    parser.addSize("batch-max", 256,
-                   "most rows one inference batch coalesces");
-    parser.addSize("queue-max", 8192,
-                   "queued rows before the server replies RETRY");
     parser.addSize("io-threads", 1,
                    "epoll event-loop threads multiplexing the "
                    "connections");
-    parser.addSize("deadline-us", 0,
-                   "shed requests queued longer than this with RETRY "
-                   "(0 = never)");
     parser.addSize("timeout-ms", 0,
                    "drop connections idle this long (0 = never)");
     parser.addSize("metrics-port", 0,
@@ -944,15 +937,7 @@ cmdServe(const std::vector<std::string> &args, std::ostream &out)
     serve::ServerOptions options;
     options.port =
         static_cast<std::uint16_t>(parser.getSize("port", 0, 65535));
-    options.batchMaxRows = parser.getSize("batch-max", 1, 1000000);
-    options.queueMaxRows = parser.getSize("queue-max", 1, 100000000);
-    if (options.queueMaxRows < options.batchMaxRows)
-        throw UsageError("--queue-max (" +
-                         std::to_string(options.queueMaxRows) +
-                         ") must be at least --batch-max (" +
-                         std::to_string(options.batchMaxRows) + ")");
     options.ioThreads = parser.getSize("io-threads", 1, 256);
-    options.deadlineUs = parser.getSize("deadline-us", 0, 3600000000);
     options.idleTimeoutMs = static_cast<int>(
         parser.getSize("timeout-ms", 0, 86400000));
     options.modelPath = parser.getString("model");

@@ -38,8 +38,7 @@ renderTopFrame(std::ostream &out, const std::string &target,
     out << "  requests/s " << cell(rate("mtperf_serve_requests"), 1)
         << "     rows/s "
         << cell(rate("mtperf_serve_rows_predicted"), 1) << "\n";
-    out << "  retry/s    " << cell(rate("mtperf_serve_retries"), 1)
-        << "   errors/s " << cell(rate("mtperf_serve_errors"), 1)
+    out << "  errors/s   " << cell(rate("mtperf_serve_errors"), 1)
         << "\n";
     out << "  batch occupancy "
         << (batches > 0.0 ? formatDouble(batch_rows / batches, 1)
@@ -54,11 +53,6 @@ renderTopFrame(std::ostream &out, const std::string &target,
         << "  peak "
         << formatDouble(
                gauge("mtperf_serve_connections_active_max"), 0)
-        << "\n";
-    out << "  queue rows  now "
-        << formatDouble(gauge("mtperf_serve_queue_rows"), 0)
-        << "  peak "
-        << formatDouble(gauge("mtperf_serve_queue_rows_max"), 0)
         << "\n";
     const double burn =
         gauge("mtperf_serve_slo_burn_rate_milli") / 1000.0;

@@ -164,7 +164,7 @@ ThreadPool::parallelFor(std::size_t n,
         for (std::size_t i = 0; i < helpers; ++i)
             pending_.push_back(job);
     }
-    poolQueueDepth.addTracked(static_cast<std::int64_t>(helpers));
+    poolQueueDepth.add(static_cast<std::int64_t>(helpers));
     for (std::size_t i = 0; i < helpers; ++i)
         wake_.notify_one();
 

@@ -80,12 +80,14 @@ class Gauge
     set(std::int64_t value)
     {
         value_.store(value, std::memory_order_relaxed);
+        raiseMax(value);
     }
 
     void
     add(std::int64_t delta)
     {
-        value_.fetch_add(delta, std::memory_order_relaxed);
+        raiseMax(value_.fetch_add(delta, std::memory_order_relaxed) +
+                 delta);
     }
 
     std::int64_t
@@ -101,12 +103,10 @@ class Gauge
         return max_.load(std::memory_order_relaxed);
     }
 
-    /** add() that also advances the watermark. */
+  private:
     void
-    addTracked(std::int64_t delta)
+    raiseMax(std::int64_t now)
     {
-        const std::int64_t now =
-            value_.fetch_add(delta, std::memory_order_relaxed) + delta;
         std::int64_t seen = max_.load(std::memory_order_relaxed);
         while (now > seen &&
                !max_.compare_exchange_weak(seen, now,
@@ -114,7 +114,6 @@ class Gauge
         }
     }
 
-  private:
     std::atomic<std::int64_t> value_{0};
     std::atomic<std::int64_t> max_{0};
 };

@@ -58,8 +58,8 @@ void traceInstant(const char *category, std::string name);
 
 /**
  * Absolute steady-clock microseconds, for callers that measure a
- * span themselves (e.g. the batcher timing a job's queue wait from
- * enqueue on one thread to drain on another). Pair with
+ * span themselves (e.g. the server timing one request's predict and
+ * reply stages, named after its trace id). Pair with
  * traceCompleteSpan(); the session epoch is subtracted there.
  */
 std::int64_t traceNowMicros();

@@ -3,9 +3,9 @@
  * C++ client for the mtperf prediction server.
  *
  * One connected socket, blocking request/response with transparent
- * RETRY handling (bounded exponential backoff when the server sheds
- * load). This client powers `mtperf predict --connect` and the serve
- * and telemetry tests.
+ * RETRY handling (bounded exponential backoff when a server asks for
+ * a resubmission). This client powers `mtperf predict --connect` and
+ * the serve and telemetry tests.
  *
  * Any server-reported failure or connection loss raises FatalError
  * carrying the server's message, so callers inherit the CLI's

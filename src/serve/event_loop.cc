@@ -65,34 +65,22 @@ EventLoop::adopt(net::Socket &&sock)
     }
     {
         std::lock_guard<std::mutex> lock(pendingMutex_);
-        PendingOp op;
-        op.kind = PendingOp::kAdopt;
-        op.sock = std::move(sock);
-        pending_.push_back(std::move(op));
+        pending_.push_back(std::move(sock));
     }
     wake_.signal();
 }
 
 void
-EventLoop::send(std::uint64_t connId, std::string &&bytes,
-                bool close_after)
+EventLoop::send(Conn &conn, std::string &&bytes, bool close_after)
 {
-    if (onLoopThread()) {
-        auto it = conns_.find(connId);
-        if (it != conns_.end())
-            enqueueWrite(*it->second, std::move(bytes), close_after);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(pendingMutex_);
-        PendingOp op;
-        op.kind = PendingOp::kSend;
-        op.connId = connId;
-        op.bytes = std::move(bytes);
-        op.closeAfter = close_after;
-        pending_.push_back(std::move(op));
-    }
-    wake_.signal();
+    mtperf_assert(onLoopThread(), "EventLoop::send() off the loop thread");
+    if (!conn.sock_.valid())
+        return; // connection already gone; reply dropped
+    if (!bytes.empty())
+        conn.writeQueue_.push_back(std::move(bytes));
+    if (close_after)
+        conn.closing_ = true;
+    flushWrites(conn);
 }
 
 bool
@@ -156,8 +144,8 @@ EventLoop::run(const net::Socket *listener)
         dead_.clear();
     }
 
-    // Drain: pick up last-moment cross-thread replies, nurse each
-    // connection's queue into the kernel briefly, then close all.
+    // Drain: close sockets adopted mid-stop, nurse each connection's
+    // queue into the kernel briefly, then close all.
     processPending();
     for (auto &[id, conn] : conns_) {
         for (int attempt = 0; conn->sock_.valid() &&
@@ -178,25 +166,13 @@ EventLoop::run(const net::Socket *listener)
 void
 EventLoop::processPending()
 {
-    std::vector<PendingOp> ops;
+    std::vector<net::Socket> socks;
     {
         std::lock_guard<std::mutex> lock(pendingMutex_);
-        ops.swap(pending_);
+        socks.swap(pending_);
     }
-    for (PendingOp &op : ops) {
-        switch (op.kind) {
-        case PendingOp::kAdopt:
-            adoptOnLoop(std::move(op.sock));
-            break;
-        case PendingOp::kSend: {
-            auto it = conns_.find(op.connId);
-            if (it != conns_.end())
-                enqueueWrite(*it->second, std::move(op.bytes),
-                             op.closeAfter);
-            break;
-        }
-        }
-    }
+    for (net::Socket &sock : socks)
+        adoptOnLoop(std::move(sock));
 }
 
 void
@@ -216,7 +192,7 @@ EventLoop::adoptOnLoop(net::Socket &&sock)
     poller_.add(conn->sock_.fd(), id);
     conns_.emplace(id, std::move(conn));
     numConns_.fetch_add(1, std::memory_order_relaxed);
-    activeGauge_.addTracked(1);
+    activeGauge_.add(1);
 }
 
 void
@@ -281,19 +257,6 @@ EventLoop::readReady(Conn &conn)
         if (conn.writeQueue_.empty())
             closeConn(conn);
     }
-}
-
-void
-EventLoop::enqueueWrite(Conn &conn, std::string &&bytes,
-                        bool close_after)
-{
-    if (!conn.sock_.valid())
-        return; // connection already gone; reply dropped
-    if (!bytes.empty())
-        conn.writeQueue_.push_back(std::move(bytes));
-    if (close_after)
-        conn.closing_ = true;
-    flushWrites(conn);
 }
 
 void

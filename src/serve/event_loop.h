@@ -12,24 +12,24 @@
  *
  * Reads are level-triggered: the loop drains the socket into the
  * connection's FrameAssembler and hands every completed CRC-checked
- * frame to the onFrame handler on the loop thread. Writes go through
- * a per-connection queue: send() from the loop thread writes
- * directly and queues only what the kernel refuses (registering
- * EPOLLOUT until the queue drains); send() from any other thread —
- * batcher completions — enqueues a pending op and signals the
- * eventfd. Because a connection's replies all funnel through its
- * loop's queue, replies keep request order per connection without any
- * write lock.
+ * frame to the onFrame handler on the loop thread. The handler
+ * replies with send(), also on the loop thread: it writes directly
+ * and queues only what the kernel refuses (registering EPOLLOUT until
+ * the queue drains). Because a connection's replies all funnel
+ * through its loop's queue, replies keep request order per
+ * connection without any write lock.
  *
  * A loop may also own the listening socket: accepted sockets are
  * passed to the onAccept handler, which places them on a loop
- * (typically round-robin across all loops) via adopt().
+ * (typically round-robin across all loops) via adopt(). adopt() is
+ * the one operation another thread may call: it queues the socket
+ * and signals the eventfd.
  *
  * The process-wide `serve.connections_active` gauge tracks open
- * connections across every loop — incremented (with watermark) on
- * adopt, decremented on close — so a scrape shows both current load
- * and the high-water mark, and tests can assert it returns to zero
- * when clients disconnect (connection-leak detector).
+ * connections across every loop — incremented on adopt, decremented
+ * on close — so a scrape shows both current load and the high-water
+ * mark, and tests can assert it returns to zero when clients
+ * disconnect (connection-leak detector).
  */
 
 #ifndef MTPERF_SERVE_EVENT_LOOP_H_
@@ -59,7 +59,6 @@ class EventLoop;
 class Conn
 {
   public:
-    std::uint64_t id() const { return id_; }
     EventLoop &loop() const { return *loop_; }
 
   private:
@@ -127,13 +126,12 @@ class EventLoop
     void adopt(net::Socket &&sock);
 
     /**
-     * Queue @p bytes on connection @p connId and flush what the
-     * kernel will take. Dropped silently when the connection is
-     * gone. With @p close_after, the connection closes once its
-     * write queue fully drains. Any thread.
+     * Queue @p bytes on @p conn and flush what the kernel will take.
+     * Dropped silently when the connection is already closed. With
+     * @p close_after, the connection closes once its write queue
+     * fully drains. Loop thread only (the handlers run there).
      */
-    void send(std::uint64_t connId, std::string &&bytes,
-              bool close_after = false);
+    void send(Conn &conn, std::string &&bytes, bool close_after = false);
 
     /** Open connections on this loop right now. */
     std::size_t numConnections() const
@@ -142,27 +140,11 @@ class EventLoop
     }
 
   private:
-    struct PendingOp
-    {
-        enum Kind
-        {
-            kAdopt,
-            kSend
-        };
-        Kind kind = kSend;
-        net::Socket sock;          //!< kAdopt
-        std::uint64_t connId = 0;  //!< kSend
-        std::string bytes;         //!< kSend
-        bool closeAfter = false;   //!< kSend
-    };
-
     void run(const net::Socket *listener);
     void processPending();
     void adoptOnLoop(net::Socket &&sock);
     void acceptReady(const net::Socket &listener);
     void readReady(Conn &conn);
-    void enqueueWrite(Conn &conn, std::string &&bytes,
-                      bool close_after);
     void flushWrites(Conn &conn);
     void closeConn(Conn &conn);
     void sweepIdle();
@@ -183,7 +165,7 @@ class EventLoop
     std::atomic<std::size_t> numConns_{0};
 
     std::mutex pendingMutex_;
-    std::vector<PendingOp> pending_;
+    std::vector<net::Socket> pending_; //!< adopted, not yet on the loop
     std::atomic<bool> stopping_{false};
 
     std::thread thread_;

@@ -30,8 +30,9 @@
  * are answered like any unknown type; counters leave the server by
  * its HTTP `/metrics` listener only. A successful response echoes the
  * request type with the high bit set; ERROR carries a code + message;
- * RETRY is explicit backpressure — the queue is full, resubmit after
- * a short delay.
+ * RETRY asks the client to resubmit after a short delay. Clients
+ * honour it, but the server sends none: it answers each frame on the
+ * loop that read it before reading more.
  *
  * Responses carry the request id, so a client may pipeline many
  * requests on one connection and match replies out of order.
@@ -58,7 +59,7 @@ constexpr MsgType kMsgShutdown = 5;
 constexpr MsgType kMsgReplyBit = 0x80;
 /** Failure responses (payload: ErrorInfo). */
 constexpr MsgType kMsgError = 0x7E;
-/** Backpressure: queue full, resubmit later (empty payload). */
+/** Backpressure: resubmit later (empty payload; clients honour it). */
 constexpr MsgType kMsgRetry = 0x7F;
 
 /** Error codes carried by kMsgError payloads. */
@@ -142,12 +143,12 @@ constexpr std::uint32_t kMaxModelKey = 256;
  * Payload layout: flags u32, rows u32, cols u32, [traceId u64 when
  * flags bit 1 is set], [keyLen u32 + key bytes when flags bit 2 is
  * set], then rows*cols doubles. The trace id is assigned by the
- * client and carried through the batcher so the request's spans
- * (client send, queue wait, batch predict, reply) link up in a merged
- * Perfetto trace; a zero/absent id means "not traced". The model key
- * selects one of a multi-model server's registered models (absent =
- * the default model), and a request without a key is byte-identical
- * to the pre-multi-model encoding. Old servers reject unknown flags
+ * client and carried to the server so the request's spans (client
+ * send, predict, reply) link up in a merged Perfetto trace; a
+ * zero/absent id means "not traced". The model key selects one of a
+ * multi-model server's registered models (absent = the default
+ * model), and a request without a key is byte-identical to the
+ * pre-multi-model encoding. Old servers reject unknown flags
  * loudly rather than mis-parsing the shifted payload.
  */
 struct PredictRequest

@@ -3,12 +3,14 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <span>
 #include <sstream>
 #include <thread>
 
 #include "common/fault.h"
 #include "common/logging.h"
 #include "obs/build_info.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mtperf::serve {
@@ -29,11 +31,7 @@ loadModel(const std::string &path)
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       endpoint_(net::parseEndpoint(options_.listen, options_.port)),
-      stats_(options_.slo),
-      batcher_({.batchMaxRows = options_.batchMaxRows,
-                .queueMaxRows = options_.queueMaxRows,
-                .deadlineUs = options_.deadlineUs},
-               stats_)
+      stats_(options_.slo)
 {
     mtperf_assert(options_.ioThreads >= 1,
                   "need at least one I/O thread");
@@ -166,7 +164,7 @@ bool
 Server::reloadNow(std::string *error)
 {
     // One reload at a time; predictions are not blocked (in-flight
-    // batches hold their own shared_ptr snapshot of each model).
+    // predictions hold their own shared_ptr snapshot of each model).
     std::lock_guard<std::mutex> lock(reloadMutex_);
     std::string messages;
     for (ModelEntry &entry : models_) {
@@ -198,7 +196,6 @@ Server::wait()
         return;
     if (!started_) {
         joined_ = true;
-        batcher_.stop();
         if (metricsServer_)
             metricsServer_->stop();
         return;
@@ -213,10 +210,8 @@ Server::wait()
             std::chrono::milliseconds(options_.pollIntervalMs));
     }
 
-    // Graceful order: drain queued predictions first (their replies
-    // flush through the still-live loops), then stop the loops (which
-    // nurse any remaining bytes out and close every connection).
-    batcher_.stop();
+    // Each loop nurses its queued replies out, then closes every
+    // connection.
     for (auto &loop : loops_)
         loop->stop();
     listener_.close();
@@ -246,7 +241,7 @@ Server::onAccept(net::Socket &&sock)
 void
 Server::replyOn(Conn &conn, const Frame &frame, bool close_after)
 {
-    conn.loop().send(conn.id(), encodeFrame(frame), close_after);
+    conn.loop().send(conn, encodeFrame(frame), close_after);
 }
 
 void
@@ -262,6 +257,7 @@ Server::dispatch(Conn &conn, Frame &&request)
 {
     switch (request.type) {
     case kMsgPredict: {
+        const auto received = std::chrono::steady_clock::now();
         PredictRequest predict;
         try {
             predict = decodePredictRequest(request.payload);
@@ -282,48 +278,10 @@ Server::dispatch(Conn &conn, Frame &&request)
                                            predict.modelKey + "'"})});
             return;
         }
-        PredictJob job;
-        job.model = &entry->holder;
-        job.rows = std::move(predict.values);
-        job.cols = predict.cols;
-        job.wantAttribution = predict.wantAttribution;
-        job.traceId = predict.traceId;
-        job.enqueued = std::chrono::steady_clock::now();
-        EventLoop *loop = &conn.loop();
-        const std::uint64_t connId = conn.id();
-        const std::uint32_t id = request.id;
-        const std::uint64_t traceId = predict.traceId;
-        job.done = [this, loop, connId, id,
-                    traceId](JobResult &&result) {
-            const std::int64_t replyStart = obs::traceNowMicros();
-            Frame reply;
-            if (result.ok) {
-                reply = Frame{static_cast<MsgType>(kMsgPredict |
-                                                   kMsgReplyBit),
-                              id,
-                              encodePredictResponse(result.response)};
-            } else if (result.shed) {
-                // Deadline admission control: the client retries
-                // against a queue that is current again.
-                stats_.countRetry();
-                reply = Frame{kMsgRetry, id, {}};
-            } else {
-                reply = Frame{kMsgError, id,
-                              encodeError({kErrBadRequest,
-                                           result.error})};
-            }
-            loop->send(connId, encodeFrame(reply));
-            if (traceId != 0 && obs::traceEnabled()) {
-                obs::traceCompleteSpan(
-                    "serve",
-                    "serve.reply trace=" + obs::traceIdHex(traceId),
-                    replyStart, obs::traceNowMicros());
-            }
-        };
-        if (!batcher_.submit(std::move(job))) {
-            stats_.countRetry();
-            replyOn(conn, Frame{kMsgRetry, request.id, {}});
-        }
+        // A snapshot: a concurrent RELOAD swaps the holder, never the
+        // model this prediction runs on.
+        const std::shared_ptr<const M5Prime> model = entry->holder.get();
+        predictAndReply(conn, request.id, predict, *model, received);
         return;
     }
     case kMsgInfo:
@@ -358,6 +316,69 @@ Server::dispatch(Conn &conn, Frame &&request)
                                    "unknown request type " +
                                        std::to_string(request.type)})});
         return;
+    }
+}
+
+void
+Server::predictAndReply(Conn &conn, std::uint32_t id,
+                        const PredictRequest &request,
+                        const M5Prime &model,
+                        std::chrono::steady_clock::time_point received)
+{
+    const std::size_t width = model.schema().numAttributes();
+    const auto fail = [&](const std::string &message) {
+        stats_.countError();
+        replyOn(conn, Frame{kMsgError, id,
+                            encodeError({kErrBadRequest, message})});
+    };
+    if (request.cols != width) {
+        fail("request has " + std::to_string(request.cols) +
+             " columns, model expects " + std::to_string(width));
+        return;
+    }
+
+    const bool traced = request.traceId != 0 && obs::traceEnabled();
+    const std::int64_t predictStart = traced ? obs::traceNowMicros() : 0;
+    PredictResponse response;
+    response.predictions.resize(request.rows);
+    try {
+        model.predictBatch(request.values, width, response.predictions);
+    } catch (const std::exception &e) {
+        fail(std::string("prediction failed: ") + e.what());
+        return;
+    }
+    if (request.wantAttribution) {
+        response.hasAttribution = true;
+        response.leafIds.reserve(request.rows);
+        for (std::size_t r = 0; r < request.rows; ++r) {
+            const std::span<const double> row(
+                request.values.data() + r * width, width);
+            response.leafIds.push_back(
+                static_cast<std::uint32_t>(model.leafIndexFor(row)));
+        }
+    }
+
+    // A request is one batch. Its rows are the other half of the
+    // serve.rows_predicted_vs_batched invariant (see serve/stats.cc).
+    static obs::Counter &batches = obs::counter("serve.batches");
+    static obs::Counter &batchRows = obs::counter("serve.batch_rows");
+    stats_.countPredict(request.rows);
+    batches.increment();
+    batchRows.add(request.rows);
+    stats_.recordLatency(std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - received)
+                             .count());
+
+    const std::int64_t replyStart = traced ? obs::traceNowMicros() : 0;
+    replyOn(conn,
+            Frame{static_cast<MsgType>(kMsgPredict | kMsgReplyBit), id,
+                  encodePredictResponse(response)});
+    if (traced) {
+        const std::string hex = obs::traceIdHex(request.traceId);
+        obs::traceCompleteSpan("serve", "serve.predict trace=" + hex,
+                               predictStart, replyStart);
+        obs::traceCompleteSpan("serve", "serve.reply trace=" + hex,
+                               replyStart, obs::traceNowMicros());
     }
 }
 

@@ -7,22 +7,26 @@
  * socket (TCP or Unix-domain, chosen by the listen address) and deals
  * accepted connections round-robin across the loops. The server keeps
  * a registry of models by key ("default" for `modelPath`, then
- * `models` in order); PREDICT frames become jobs for the keyed model
- * on the one batcher (serve/batcher.h), which coalesces them and runs
- * one predictBatch per model over the shared thread pool. The
- * lifecycle:
+ * `models` in order). Each PREDICT runs to completion on the loop
+ * that read it: decode, one predictBatch on the keyed model (which
+ * fans out over the shared thread pool when the request is large),
+ * encode, write. A request crosses no thread, and a loop reads no
+ * further frames until it has answered the ones it read, so a client
+ * that reads its replies meets overload in the socket buffers, where
+ * TCP flow control slows it.
+ * The lifecycle:
  *
  *   Server server(options);   // loads the models, binds, listens
- *   server.start();           // spawns the I/O loops (batcher runs)
+ *   server.start();           // spawns the I/O loops
  *   server.wait();            // blocks until SHUTDOWN/requestStop()
  *
  * Hot reload (RELOAD request or requestReload(), wired to SIGHUP by
  * the CLI) re-reads every model file and swaps each in atomically via
  * shared_ptr, one entry at a time; when a replacement is corrupt that
  * entry's old model keeps serving and the reloader gets the loader's
- * error message. Stopping is graceful: queued predictions complete
- * and flush through the live loops, connections close, and a final
- * stats snapshot remains readable.
+ * error message. Stopping is graceful: each loop flushes the replies
+ * it has queued, connections close, and a final stats snapshot
+ * remains readable.
  *
  * Fault sites `serve.accept` and `serve.read` (common/fault) let
  * tests rehearse a dying accept path and mid-frame connection drops
@@ -33,6 +37,7 @@
 #define MTPERF_SERVE_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -42,12 +47,41 @@
 #include <vector>
 
 #include "common/socket.h"
+#include "ml/tree/m5prime.h"
 #include "obs/metrics_http.h"
-#include "serve/batcher.h"
 #include "serve/event_loop.h"
+#include "serve/protocol.h"
 #include "serve/stats.h"
 
 namespace mtperf::serve {
+
+/**
+ * One served model, swappable while serving. get() hands out a
+ * shared_ptr copy, so a reader keeps its model alive across a
+ * concurrent set() — the old model is destroyed only when the last
+ * in-flight prediction using it completes.
+ */
+class ModelHolder
+{
+  public:
+    std::shared_ptr<const M5Prime>
+    get() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return model_;
+    }
+
+    void
+    set(std::shared_ptr<const M5Prime> model)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        model_ = std::move(model);
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::shared_ptr<const M5Prime> model_;
+};
 
 /** Server configuration (validated eagerly by the CLI). */
 struct ServerOptions
@@ -57,10 +91,7 @@ struct ServerOptions
     std::vector<std::pair<std::string, std::string>> models;
     std::string listen = "127.0.0.1"; //!< HOST, HOST:PORT or unix:PATH
     std::uint16_t port = 0;           //!< TCP port when listen has none
-    std::size_t batchMaxRows = 256;
-    std::size_t queueMaxRows = 8192;
     std::size_t ioThreads = 1;        //!< epoll event loops
-    std::uint64_t deadlineUs = 0;     //!< shed jobs queued longer (0 = off)
     int pollIntervalMs = 50;          //!< stop/reload responsiveness
     int idleTimeoutMs = 0;            //!< drop idle connections (0 = never)
 
@@ -86,7 +117,7 @@ class Server
     Server(const Server &) = delete;
     Server &operator=(const Server &) = delete;
 
-    /** Spawn the I/O loops (the batcher already runs). */
+    /** Spawn the I/O loops. */
     void start();
 
     /** Block until the server stopped, then release every thread. */
@@ -130,6 +161,11 @@ class Server
     const ModelEntry *findModel(const std::string &key) const;
     void onAccept(net::Socket &&sock);
     void dispatch(Conn &conn, Frame &&request);
+    /** Run one PREDICT to completion on the calling loop thread. */
+    void predictAndReply(Conn &conn, std::uint32_t id,
+                         const PredictRequest &request,
+                         const M5Prime &model,
+                         std::chrono::steady_clock::time_point received);
     void onProtocolError(Conn &conn, const std::string &message);
     std::string infoText() const;
     static void replyOn(Conn &conn, const Frame &frame,
@@ -142,9 +178,8 @@ class Server
 
     ServeStats stats_;
     /** Registration order, default first. A deque: a ModelHolder
-     *  cannot move (it owns a mutex) and queued jobs point at it. */
+     *  cannot move (it owns a mutex). */
     std::deque<ModelEntry> models_;
-    Batcher batcher_;
     std::vector<std::unique_ptr<EventLoop>> loops_;
     std::atomic<std::size_t> nextLoop_{0}; //!< round-robin dealing
     std::unique_ptr<obs::MetricsHttpServer> metricsServer_;

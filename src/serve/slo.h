@@ -19,7 +19,7 @@
  * exported gauges at every interval.
  *
  * Recording is mutex-guarded but cheap (one lock per completed
- * request on the batcher thread, far off the predict hot loop) and
+ * request on the I/O loop that served it, after the prediction) and
  * only counts. The exported gauges (`serve.slo_*`) exist from
  * construction and change only on snapshot(); the server calls it on
  * every I/O-loop tick, so scrapes see the window age out even when

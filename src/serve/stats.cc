@@ -25,8 +25,6 @@ ServeStats::ServeStats(SloOptions slo)
       predictRequests_(obs::counter("serve.predict_requests")),
       rowsPredicted_(obs::counter("serve.rows_predicted")),
       errors_(obs::counter("serve.errors")),
-      retries_(obs::counter("serve.retries")),
-      deadlineExpired_(obs::counter("serve.deadline_expired")),
       reloads_(obs::counter("serve.reloads")),
       reloadFailures_(obs::counter("serve.reload_failures")),
       latency_(latencyHistogram()),
@@ -38,15 +36,14 @@ ServeStats::ServeStats(SloOptions slo)
     base_.predictRequests = predictRequests_.value();
     base_.rowsPredicted = rowsPredicted_.value();
     base_.errors = errors_.value();
-    base_.retries = retries_.value();
-    base_.deadlineExpired = deadlineExpired_.value();
     base_.reloads = reloads_.value();
     base_.reloadFailures = reloadFailures_.value();
 
     // Cross-validate the pipeline's own bookkeeping: every row the
     // stats claim was predicted must have passed through a batch (the
-    // batcher counts serve.batch_rows as it runs jobs). Registered
-    // here (idempotently) so any serving process carries the check.
+    // server counts serve.batch_rows as it predicts each request).
+    // Registered here (idempotently) so any serving process carries
+    // the check.
     obs::registerInvariant("serve.rows_predicted_vs_batched", [] {
         const std::uint64_t predicted =
             obs::counter("serve.rows_predicted").value();
@@ -83,9 +80,6 @@ ServeStats::snapshot() const
     s.predictRequests = predictRequests_.value() - base_.predictRequests;
     s.rowsPredicted = rowsPredicted_.value() - base_.rowsPredicted;
     s.errors = errors_.value() - base_.errors;
-    s.retries = retries_.value() - base_.retries;
-    s.deadlineExpired =
-        deadlineExpired_.value() - base_.deadlineExpired;
     s.connectionsActive = connectionsActive_.value();
     s.reloads = reloads_.value() - base_.reloads;
     s.reloadFailures = reloadFailures_.value() - base_.reloadFailures;

@@ -15,7 +15,7 @@
  * `--metrics-out` dumps, from one source of truth.
  *
  * Everything stays lock-free (relaxed atomics): the counters sit on
- * the request hot path and must not serialize connection threads.
+ * the request hot path and must not serialize the I/O loops.
  */
 
 #ifndef MTPERF_SERVE_STATS_H_
@@ -36,8 +36,6 @@ struct StatsSnapshot
     std::uint64_t predictRequests = 0;
     std::uint64_t rowsPredicted = 0;
     std::uint64_t errors = 0;       //!< error replies + dropped conns
-    std::uint64_t retries = 0;      //!< RETRY backpressure replies
-    std::uint64_t deadlineExpired = 0; //!< jobs shed past --deadline-us
     std::uint64_t reloads = 0;      //!< successful hot reloads
     std::uint64_t reloadFailures = 0;
     std::int64_t connectionsActive = 0; //!< open connections right now
@@ -66,8 +64,6 @@ class ServeStats
         slo_.recordError();
     }
 
-    void countRetry() { retries_.increment(); }
-    void countDeadline() { deadlineExpired_.increment(); }
     void countReload(bool ok);
 
     /** Record one predict request's service latency. */
@@ -87,8 +83,6 @@ class ServeStats
     obs::Counter &predictRequests_;
     obs::Counter &rowsPredicted_;
     obs::Counter &errors_;
-    obs::Counter &retries_;
-    obs::Counter &deadlineExpired_;
     obs::Counter &reloads_;
     obs::Counter &reloadFailures_;
     obs::Histogram &latency_;

@@ -452,9 +452,6 @@ TEST_F(CliCommandTest, ServeValidatesNumericsBeforeLoadingTheModel)
     const std::vector<std::vector<std::string>> bad = {
         {"--port", "65536"},
         {"--port", "-1"},
-        {"--batch-max", "0"},
-        {"--queue-max", "0"},
-        {"--queue-max", "8", "--batch-max", "16"},
         {"--timeout-ms", "-5"},
         {"--timeout-ms", "abc"},
     };
@@ -464,6 +461,23 @@ TEST_F(CliCommandTest, ServeValidatesNumericsBeforeLoadingTheModel)
         EXPECT_EQ(runCommand("serve", args, out), 2)
             << args[2] << " " << args[3] << ": " << out.str();
         EXPECT_NE(out.str().find("usage error:"), std::string::npos);
+    }
+
+    // The flags of the retired batch queue are unknown options, even
+    // with values they once accepted.
+    const std::vector<std::vector<std::string>> retired = {
+        {"--batch-max", "4"},
+        {"--queue-max", "8192"},
+        {"--deadline-us", "5"},
+    };
+    for (auto args : retired) {
+        args.insert(args.begin(), {"--model", "/nonexistent/model.m5"});
+        std::ostringstream out;
+        EXPECT_EQ(runCommand("serve", args, out), 2)
+            << args[2] << " " << args[3] << ": " << out.str();
+        EXPECT_NE(out.str().find("unknown option " + args[2]),
+                  std::string::npos)
+            << out.str();
     }
 
     // With valid numerics, the missing model is a data error (3).

@@ -1,14 +1,14 @@
 /**
  * @file
  * EventLoop unit tests: frame echo through the loop, cross-thread
- * send and adopt, kernel-buffer backpressure through EPOLLOUT,
- * protocol-error reply-then-close, idle sweeping, and the
- * connections_active gauge bookkeeping.
+ * adopt, kernel-buffer backpressure through EPOLLOUT, protocol-error
+ * reply-then-close, idle sweeping, and the connections_active gauge
+ * bookkeeping.
  *
  * The tests speak the real framed protocol over loopback TCP with
  * blocking readFrame/writeFrame on the client side, so they exercise
- * the exact byte path the server uses — minus the batcher, which has
- * its own tests.
+ * the exact byte path the server uses — minus the model, which the
+ * serve tests cover.
  */
 
 #include <atomic>
@@ -55,14 +55,13 @@ class EchoLoopTest : public testing::Test
         listener_ = net::listenTcp("127.0.0.1", 0, &port_);
         EventLoop::Handlers handlers;
         handlers.onFrame = [this](Conn &conn, Frame &&frame) {
-            lastConnId_.store(conn.id(), std::memory_order_relaxed);
             frames_.fetch_add(1, std::memory_order_relaxed);
             Frame reply;
             reply.type = static_cast<MsgType>(frame.type |
                                               kMsgReplyBit);
             reply.id = frame.id;
             reply.payload = std::move(frame.payload);
-            conn.loop().send(conn.id(), encodeFrame(reply));
+            conn.loop().send(conn, encodeFrame(reply));
         };
         handlers.onProtocolError = [this](Conn &conn,
                                           const std::string &) {
@@ -71,7 +70,7 @@ class EchoLoopTest : public testing::Test
             reply.type = kMsgError;
             reply.id = 0;
             reply.payload = encodeError({1, "damaged stream"});
-            conn.loop().send(conn.id(), encodeFrame(reply));
+            conn.loop().send(conn, encodeFrame(reply));
         };
         loop_ = std::make_unique<EventLoop>(options,
                                             std::move(handlers));
@@ -90,7 +89,6 @@ class EchoLoopTest : public testing::Test
     net::Socket listener_;
     std::uint16_t port_ = 0;
     std::unique_ptr<EventLoop> loop_;
-    std::atomic<std::uint64_t> lastConnId_{0};
     std::atomic<int> frames_{0};
     std::atomic<int> protocolErrors_{0};
 };
@@ -114,44 +112,6 @@ TEST_F(EchoLoopTest, EchoesFramesOnAcceptedConnection)
     EXPECT_EQ(frames_.load(), 5);
     EXPECT_TRUE(eventually(
         [&] { return loop_->numConnections() == 1; }));
-}
-
-TEST_F(EchoLoopTest, CrossThreadSendReachesTheConnection)
-{
-    startLoop();
-    net::Socket client = connect();
-    Frame frame;
-    frame.type = kMsgInfo;
-    frame.id = 7;
-    writeFrame(client.fd(), frame);
-    Frame reply;
-    ASSERT_TRUE(readFrame(client.fd(), reply)); // the echo
-
-    // This thread is not the loop thread, so this send takes the
-    // pending-op + eventfd wakeup path.
-    Frame push;
-    push.type = static_cast<MsgType>(kMsgInfo | kMsgReplyBit);
-    push.id = 99;
-    push.payload = "unsolicited";
-    loop_->send(lastConnId_.load(), encodeFrame(push));
-    ASSERT_TRUE(readFrame(client.fd(), reply));
-    EXPECT_EQ(reply.id, 99u);
-    EXPECT_EQ(reply.payload, "unsolicited");
-}
-
-TEST_F(EchoLoopTest, SendToUnknownConnectionIsDropped)
-{
-    startLoop();
-    net::Socket client = connect();
-    loop_->send(123456, std::string("nobody home"));
-    // The loop must survive; a real frame still round-trips.
-    Frame frame;
-    frame.type = kMsgInfo;
-    frame.id = 1;
-    writeFrame(client.fd(), frame);
-    Frame reply;
-    ASSERT_TRUE(readFrame(client.fd(), reply));
-    EXPECT_EQ(reply.id, 1u);
 }
 
 TEST_F(EchoLoopTest, LargeReplyDrainsThroughWriteBackpressure)
@@ -244,7 +204,7 @@ TEST(EventLoopAdopt, CrossThreadAdoptOntoListenerlessLoop)
         reply.type = static_cast<MsgType>(frame.type | kMsgReplyBit);
         reply.id = frame.id;
         reply.payload = std::move(frame.payload);
-        conn.loop().send(conn.id(), encodeFrame(reply));
+        conn.loop().send(conn, encodeFrame(reply));
     };
     EventLoop loop({}, std::move(handlers));
     loop.start(); // no listener

@@ -104,15 +104,18 @@ TEST(ObsGauge, SetAddAndWatermark)
     Gauge g;
     g.set(5);
     EXPECT_EQ(g.value(), 5);
+    EXPECT_EQ(g.maxValue(), 5) << "set() advances the watermark";
     g.add(-3);
     EXPECT_EQ(g.value(), 2);
-    // add() alone does not advance the watermark; addTracked() does.
-    g.addTracked(10);
+    EXPECT_EQ(g.maxValue(), 5);
+    g.add(10);
     EXPECT_EQ(g.value(), 12);
-    EXPECT_EQ(g.maxValue(), 12);
-    g.addTracked(-12);
+    EXPECT_EQ(g.maxValue(), 12) << "add() advances the watermark";
+    g.add(-12);
     EXPECT_EQ(g.value(), 0);
     EXPECT_EQ(g.maxValue(), 12) << "watermark must not regress";
+    g.set(3);
+    EXPECT_EQ(g.maxValue(), 12);
 }
 
 TEST(ObsHistogram, CountsAndBucketBounds)
@@ -328,7 +331,7 @@ TEST(ObsHistogram, PercentileAtBucketBoundaries)
 TEST(ObsRegistry, SnapshotRegistryListsEverythingSorted)
 {
     counter("test_obs.snap_counter").add(11);
-    gauge("test_obs.snap_gauge").addTracked(4);
+    gauge("test_obs.snap_gauge").add(4);
     histogram("test_obs.snap_hist").record(9.0);
 
     const MetricsSnapshot snap = snapshotRegistry();
@@ -416,7 +419,7 @@ TEST(ObsInvariants, ValidateReportsViolationsAndReregisterReplaces)
 TEST(ObsJson, MetricsDumpIsValidAndComplete)
 {
     counter("test_obs.json_counter").add(7);
-    gauge("test_obs.json_gauge").addTracked(3);
+    gauge("test_obs.json_gauge").add(3);
     histogram("test_obs.json_hist").record(12.0);
 
     const std::string json = metricsToJson();

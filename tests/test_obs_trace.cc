@@ -78,7 +78,7 @@ TEST(ObsThreadInfo, NamesAreRecordedAndListed)
 TEST(ObsThreadInfo, KernelNameClampKeepsHeadAndTail)
 {
     // Short names pass through untouched.
-    EXPECT_EQ(kernelThreadName("batcher"), "batcher");
+    EXPECT_EQ(kernelThreadName("sampler"), "sampler");
     // Exactly at the 15-char kernel limit: unchanged.
     EXPECT_EQ(kernelThreadName("123456789012345"), "123456789012345");
     // Over the limit: 7 head chars + '~' + 7 tail chars, so the

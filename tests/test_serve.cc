@@ -2,8 +2,8 @@
  * @file
  * End-to-end tests for the prediction server: byte-identical remote
  * predictions under concurrent clients, hot reload with a corrupt
- * replacement, backpressure, fault injection at the serve.* sites,
- * and client recovery from a killed server.
+ * replacement, requests of any size, fault injection at the serve.*
+ * sites, and client recovery from a killed server.
  */
 
 #include <unistd.h>
@@ -30,7 +30,6 @@
 #include "obs/metrics.h"
 #include "obs/metrics_http.h"
 #include "obs/prometheus.h"
-#include "serve/batcher.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -109,7 +108,7 @@ TEST_F(ServeTest, ConcurrentClientsMatchOfflineByteForByte)
     const std::string address = "unix:" + socketPath("e2e");
 
     // >= 10k rows total from 4 concurrent clients, chunked so many
-    // requests interleave in the batcher across connections.
+    // requests interleave on the server across connections.
     constexpr std::size_t kClients = 4;
     constexpr std::size_t kRowsPerClient = 2500;
     constexpr std::size_t kChunk = 97; // odd size: chunks interleave
@@ -222,7 +221,7 @@ TEST_F(ServeTest, StatsReconcileWithTheSharedMetricsRegistry)
     EXPECT_EQ(obs::counter("serve.requests").value() - requests_before,
               snapshot.requests);
 
-    // The cross-counter invariant the batcher promises must hold.
+    // The cross-counter invariant the server promises must hold.
     for (const auto &violation : obs::validateInvariants())
         EXPECT_NE(violation.name, "serve.rows_predicted_vs_batched")
             << violation.message;
@@ -431,46 +430,37 @@ TEST_F(ServeTest, ShutdownRequestStopsTheServer)
                  FatalError);
 }
 
-TEST_F(ServeTest, BatcherBackpressureRejectsWhenFull)
+TEST_F(ServeTest, RequestLargerThanTheOldQueueIsServed)
 {
-    ModelHolder model;
-    model.set(std::make_shared<const M5Prime>(
-        M5Prime::loadFile(modelPath_)));
-    ServeStats stats;
-    Batcher::Options options;
-    options.batchMaxRows = 4;
-    options.queueMaxRows = 8;
-    Batcher batcher(options, stats);
-    batcher.pause();
+    // 10,000 rows in one PREDICT: more than the 8,192 rows a bounded
+    // batch queue once admitted, so such a request got RETRY until
+    // the client gave up. Answered on the loop that read it, it is
+    // served like any other, bit for bit.
+    Server server(unixOptions("large"));
+    server.start();
+    Client client = Client::connect("unix:" + socketPath("large"), 0);
 
-    std::atomic<int> completed{0};
-    auto makeJob = [&](std::size_t rows) {
-        PredictJob job;
-        job.model = &model;
-        job.cols = static_cast<std::uint32_t>(ds_.numAttributes());
-        for (std::size_t r = 0; r < rows; ++r) {
-            const auto row = ds_.row(r);
-            job.rows.insert(job.rows.end(), row.begin(), row.end());
-        }
-        job.enqueued = std::chrono::steady_clock::now();
-        job.done = [&](JobResult &&result) {
-            EXPECT_TRUE(result.ok);
-            completed.fetch_add(1);
-        };
-        return job;
-    };
+    constexpr std::size_t kRows = 10000;
+    const std::size_t width = ds_.numAttributes();
+    std::vector<double> flat;
+    flat.reserve(kRows * width);
+    for (std::size_t r = 0; r < kRows; ++r) {
+        const auto row = ds_.row(r % ds_.size());
+        flat.insert(flat.end(), row.begin(), row.end());
+    }
+    const PredictResponse response = client.predict(flat, width);
+    ASSERT_EQ(response.predictions.size(), kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+        const double offline = tree_.predict(ds_.row(r % ds_.size()));
+        EXPECT_EQ(std::memcmp(&offline, &response.predictions[r],
+                              sizeof offline),
+                  0)
+            << "row " << r;
+    }
 
-    // Fill the queue to its 8-row bound while the batcher is held.
-    EXPECT_TRUE(batcher.submit(makeJob(5)));
-    EXPECT_TRUE(batcher.submit(makeJob(3)));
-    EXPECT_FALSE(batcher.submit(makeJob(1))); // full -> RETRY
-    // A job bigger than the whole queue can never be accepted.
-    EXPECT_FALSE(batcher.submit(makeJob(9)));
-
-    batcher.resume();
-    batcher.stop(); // drains the queue before stopping
-    EXPECT_EQ(completed.load(), 2);
-    EXPECT_EQ(stats.snapshot().rowsPredicted, 8u);
+    server.requestStop();
+    server.wait();
+    EXPECT_EQ(server.stats().rowsPredicted, kRows);
 }
 
 TEST_F(ServeTest, MismatchedWidthIsARequestError)
@@ -518,10 +508,9 @@ TEST_F(ServeTest, InjectedAcceptFaultDropsOneConnectionOnly)
 
 TEST_F(ServeTest, MultiLoopMultiModelServerMatchesOfflineByteForByte)
 {
-    // Several epoll loops, two models behind the one batcher and
-    // concurrent clients for each: a drained batch mixes both models'
-    // jobs, and every reply must still equal its own model's scalar
-    // offline walk.
+    // Several epoll loops, two models and concurrent clients for
+    // each: a loop serves both models' requests, and every reply must
+    // still equal its own model's scalar offline walk.
     const std::string alt_path = dir_ + "/alt.m5";
     M5Options alt_options;
     alt_options.minInstances = 400; // coarser tree => different fits
@@ -811,49 +800,6 @@ TEST_F(ServeTest, SixtyFourConnectionsReconcileThreeWays)
     EXPECT_EQ(bad_scrapes.load(), 0u);
     server.requestStop();
     server.wait();
-}
-
-TEST_F(ServeTest, DeadlineShedsStaleJobsAsRetry)
-{
-    // Admission-control layer 2: jobs that waited past the deadline
-    // are shed at drain time with JobResult::shed (RETRY on the
-    // wire), not served late and not counted as errors.
-    ModelHolder model;
-    model.set(std::make_shared<const M5Prime>(
-        M5Prime::loadFile(modelPath_)));
-    ServeStats stats;
-    Batcher::Options options;
-    options.batchMaxRows = 16;
-    options.queueMaxRows = 64;
-    options.deadlineUs = 1000; // 1ms
-    Batcher batcher(options, stats);
-    batcher.pause();
-
-    std::atomic<int> shed{0}, served{0};
-    auto submit = [&] {
-        PredictJob job;
-        job.model = &model;
-        job.cols = static_cast<std::uint32_t>(ds_.numAttributes());
-        const auto row = ds_.row(0);
-        job.rows.assign(row.begin(), row.end());
-        job.enqueued = std::chrono::steady_clock::now();
-        job.done = [&](JobResult &&result) {
-            (result.shed ? shed : served).fetch_add(1);
-            EXPECT_FALSE(result.ok && result.shed);
-        };
-        ASSERT_TRUE(batcher.submit(std::move(job)));
-    };
-    submit();
-    submit();
-    // Let both jobs age far past the 1ms deadline, then drain.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    batcher.resume();
-    batcher.stop();
-    EXPECT_EQ(shed.load(), 2);
-    EXPECT_EQ(served.load(), 0);
-    EXPECT_EQ(stats.snapshot().deadlineExpired, 2u);
-    EXPECT_EQ(stats.snapshot().errors, 0u);
-    EXPECT_EQ(stats.snapshot().rowsPredicted, 0u);
 }
 
 TEST_F(ServeTest, InjectedReadFaultKillsOneConnectionOnly)

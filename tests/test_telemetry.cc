@@ -133,7 +133,7 @@ TEST(Prometheus, NameMapping)
 TEST(Prometheus, ExpositionRoundTripsThroughParser)
 {
     obs::counter("test_prom.requests").add(42);
-    obs::gauge("test_prom.queue").addTracked(17);
+    obs::gauge("test_prom.queue").add(17);
     obs::histogram("test_prom.micros").record(123.0);
 
     const std::string text = obs::metricsToPrometheus();
@@ -161,6 +161,20 @@ TEST(Prometheus, ExpositionRoundTripsThroughParser)
     // valueOr falls back; value throws on absence.
     EXPECT_EQ(scrape.valueOr("mtperf_no_such_metric", -1.0), -1.0);
     EXPECT_THROW(scrape.value("mtperf_no_such_metric"), FatalError);
+}
+
+TEST(Prometheus, SetOnlyGaugeExportsItsPeakAsMax)
+{
+    // The serve.slo_* gauges are written with set() alone; their
+    // _max series must still report the highest value they held.
+    obs::Gauge &gauge = obs::gauge("test_prom.set_only");
+    gauge.set(40);
+    gauge.set(100000);
+    gauge.set(7);
+    const obs::PrometheusScrape scrape =
+        obs::parsePrometheusText(obs::metricsToPrometheus());
+    EXPECT_EQ(scrape.value("mtperf_test_prom_set_only"), 7.0);
+    EXPECT_EQ(scrape.value("mtperf_test_prom_set_only_max"), 100000.0);
 }
 
 TEST(Prometheus, ParserRejectsMalformedLines)
@@ -324,8 +338,8 @@ TEST_F(TelemetryServeTest, TraceChainReconstructsUnderOneTraceId)
     // The client span and every server-side stage carry the same id,
     // so one request's full path reconstructs in Perfetto.
     for (const char *stage :
-         {"client.predict trace=", "serve.queue_wait trace=",
-          "serve.predict trace=", "serve.reply trace="})
+         {"client.predict trace=", "serve.predict trace=",
+          "serve.reply trace="})
         EXPECT_NE(json.find(std::string(stage) + hex),
                   std::string::npos)
             << "missing " << stage << hex;
@@ -333,6 +347,10 @@ TEST_F(TelemetryServeTest, TraceChainReconstructsUnderOneTraceId)
 
 TEST_F(TelemetryServeTest, UntracedRequestsCarryNoTraceSpans)
 {
+    // An earlier test's stopped session stays readable by design;
+    // an empty session makes traceToJson() report only this test's.
+    obs::startTrace();
+    obs::stopTrace();
     ASSERT_FALSE(obs::traceEnabled());
     serve::Server server(unixOptions("untraced"));
     server.start();

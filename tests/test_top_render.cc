@@ -19,12 +19,11 @@ namespace mtperf::cli {
 namespace {
 
 obs::PrometheusScrape
-scrapeWith(double requests, double rows, double retries, double errors)
+scrapeWith(double requests, double rows, double errors)
 {
     std::ostringstream text;
     text << "mtperf_serve_requests " << requests << "\n"
          << "mtperf_serve_rows_predicted " << rows << "\n"
-         << "mtperf_serve_retries " << retries << "\n"
          << "mtperf_serve_errors " << errors << "\n"
          << "mtperf_serve_batches 10\n"
          << "mtperf_serve_batch_rows 100\n"
@@ -33,8 +32,6 @@ scrapeWith(double requests, double rows, double retries, double errors)
          << "mtperf_serve_predict_micros{quantile=\"0.99\"} 900\n"
          << "mtperf_serve_connections_active 7\n"
          << "mtperf_serve_connections_active_max 64\n"
-         << "mtperf_serve_queue_rows 3\n"
-         << "mtperf_serve_queue_rows_max 12\n"
          << "mtperf_serve_slo_burn_rate_milli 500\n"
          << "mtperf_serve_slo_healthy 1\n"
          << "mtperf_serve_slo_window_requests 100\n"
@@ -64,8 +61,8 @@ hasNegativeNumber(const std::string &frame)
 
 TEST(TopRender, NormalWindowComputesRates)
 {
-    const TopSample prev{scrapeWith(0, 0, 0, 0), 10.0};
-    const TopSample cur{scrapeWith(200, 2000, 4, 2), 12.0};
+    const TopSample prev{scrapeWith(0, 0, 0), 10.0};
+    const TopSample cur{scrapeWith(200, 2000, 2), 12.0};
     const std::string frame = render(prev, cur);
     EXPECT_NE(frame.find("window 2.00s"), std::string::npos) << frame;
     EXPECT_NE(frame.find("100.0"), std::string::npos)
@@ -78,8 +75,8 @@ TEST(TopRender, IdenticalTimestampsDoNotDivideByZero)
 {
     // Two scrapes landing on the same clock reading (coarse clock or
     // a duplicated sample) must clamp dt instead of producing inf.
-    const TopSample prev{scrapeWith(100, 1000, 0, 0), 5.0};
-    const TopSample cur{scrapeWith(150, 1500, 0, 0), 5.0};
+    const TopSample prev{scrapeWith(100, 1000, 0), 5.0};
+    const TopSample cur{scrapeWith(150, 1500, 0), 5.0};
     const std::string frame = render(prev, cur);
     EXPECT_EQ(frame.find("inf"), std::string::npos) << frame;
     EXPECT_EQ(frame.find("nan"), std::string::npos) << frame;
@@ -91,8 +88,8 @@ TEST(TopRender, RegressedTimestampClampsToTheFloor)
 {
     // A stepped clock can hand the renderer cur.seconds < prev
     // .seconds; the rate must stay finite and non-negative.
-    const TopSample prev{scrapeWith(100, 1000, 0, 0), 50.0};
-    const TopSample cur{scrapeWith(150, 1500, 0, 0), 40.0};
+    const TopSample prev{scrapeWith(100, 1000, 0), 50.0};
+    const TopSample cur{scrapeWith(150, 1500, 0), 40.0};
     const std::string frame = render(prev, cur);
     EXPECT_EQ(frame.find("inf"), std::string::npos) << frame;
     EXPECT_EQ(frame.find("nan"), std::string::npos) << frame;
@@ -103,12 +100,12 @@ TEST(TopRender, RegressedTimestampClampsToTheFloor)
 TEST(TopRender, CounterResetRendersZeroRateNotNegative)
 {
     // Server restarted between scrapes: counters went backwards.
-    const TopSample prev{scrapeWith(5000, 50000, 10, 3), 1.0};
-    const TopSample cur{scrapeWith(40, 400, 0, 0), 3.0};
+    const TopSample prev{scrapeWith(5000, 50000, 3), 1.0};
+    const TopSample cur{scrapeWith(40, 400, 0), 3.0};
     const std::string frame = render(prev, cur);
     EXPECT_NE(frame.find("requests/s"), std::string::npos);
     EXPECT_EQ(frame.find("inf"), std::string::npos) << frame;
-    // All four rate cells clamp to 0.0.
+    // All three rate cells clamp to 0.0.
     EXPECT_FALSE(hasNegativeNumber(frame))
         << "negative rate leaked: " << frame;
     EXPECT_NE(frame.find("0.0"), std::string::npos) << frame;
@@ -116,8 +113,8 @@ TEST(TopRender, CounterResetRendersZeroRateNotNegative)
 
 TEST(TopRender, ConnectionGaugeRowShowsNowAndPeak)
 {
-    const TopSample prev{scrapeWith(0, 0, 0, 0), 1.0};
-    const TopSample cur{scrapeWith(10, 100, 0, 0), 2.0};
+    const TopSample prev{scrapeWith(0, 0, 0), 1.0};
+    const TopSample cur{scrapeWith(10, 100, 0), 2.0};
     const std::string frame = render(prev, cur);
     EXPECT_NE(frame.find("conns"), std::string::npos) << frame;
     EXPECT_NE(frame.find("now 7"), std::string::npos) << frame;
