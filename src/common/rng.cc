@@ -1,5 +1,6 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -127,17 +128,44 @@ zipfHIntegralInverse(double e, double x)
     return std::exp(std::log1p(t) / (1.0 - e));
 }
 
+/**
+ * u >= this accepts rank @p k. Out of line, so the table fill and the
+ * k > kBoundTable fallback run the same instructions and agree to the
+ * bit.
+ */
+[[gnu::noinline]] double
+zipfAcceptBound(double e, double k)
+{
+    return zipfHIntegral(e, k + 0.5) - zipfH(e, k);
+}
+
 } // namespace
 
-ZipfSampler::ZipfSampler(std::uint64_t n, double s) : n_(n), s_(s)
+ZipfSampler::ZipfSampler(std::uint64_t n, double s)
+{
+    setParams(n, s);
+}
+
+void
+ZipfSampler::setParams(std::uint64_t n, double s)
 {
     mtperf_assert(n > 0, "zipf over empty support");
+    n_ = n;
+    if (std::bit_cast<std::uint64_t>(s) !=
+        std::bit_cast<std::uint64_t>(s_)) {
+        s_ = s;
+        bound_.clear();
+    }
     if (n == 1)
-        return;
-    hX1_ = zipfHIntegral(s_, 1.5) - 1.0;
-    const double h_n = zipfHIntegral(s_, static_cast<double>(n_) + 0.5);
-    d_ = zipfHIntegral(s_, 0.5);
-    span_ = h_n - d_;
+        return; // sample() draws nothing
+    if (bound_.empty()) {
+        hX1_ = zipfHIntegral(s_, 1.5) - 1.0;
+        d_ = zipfHIntegral(s_, 0.5);
+    }
+    const std::uint64_t rows = std::min(n, kBoundTable);
+    for (std::uint64_t k = bound_.size() + 1; k <= rows; ++k)
+        bound_.push_back(zipfAcceptBound(s_, static_cast<double>(k)));
+    span_ = zipfHIntegral(s_, static_cast<double>(n_) + 0.5) - d_;
 }
 
 std::uint64_t
@@ -154,9 +182,11 @@ ZipfSampler::sample(Rng &rng) const
             k = 1.0;
         else if (k > static_cast<double>(n_))
             k = static_cast<double>(n_);
+        const auto rank = static_cast<std::uint64_t>(k);
         if (k - x <= hX1_ ||
-            u >= zipfHIntegral(s_, k + 0.5) - zipfH(s_, k)) {
-            return static_cast<std::uint64_t>(k) - 1;
+            u >= (rank <= bound_.size() ? bound_[rank - 1]
+                                        : zipfAcceptBound(s_, k))) {
+            return rank - 1;
         }
     }
 }

@@ -142,11 +142,18 @@ Rng::chance(double p)
 /**
  * A Zipf(n, s) sampler: integers in [0, n) with exponent s, drawn by
  * rejection-inversion (Hormann & Derflinger), which is O(1) per draw
- * where inversion over a CDF would not be. The four transcendental
- * constants are precomputed at construction, so callers that sample
- * the same distribution repeatedly (the workload generator draws
- * millions of addresses per section from fixed footprints) construct
- * one per (n, s).
+ * where inversion over a CDF would not be. The transcendental
+ * constants are precomputed, so callers that sample the same
+ * distribution repeatedly (the workload generator draws millions of
+ * addresses per section from fixed footprints) keep one per footprint
+ * and re-target it with setParams().
+ *
+ * The acceptance bound H(k + 0.5) - h(k) of the first kBoundTable
+ * ranks is tabulated too. It depends on (s, k) only, so setParams()
+ * keeps the table while s is unchanged and only extends it when n
+ * grows. The squeeze test k - x <= H(1.5) - 1 never passes, since
+ * H(1.5) - 1 < -0.5 < k - x for every s > 0, so without the table
+ * every draw would pay the four libm calls of the exact bound.
  */
 class ZipfSampler
 {
@@ -157,6 +164,12 @@ class ZipfSampler
     /** Precompute constants for Zipf over [0, n) with exponent s. */
     ZipfSampler(std::uint64_t n, double s);
 
+    /**
+     * Re-target to Zipf over [0, n) with exponent s. Draws are the
+     * same as from a freshly constructed ZipfSampler(n, s).
+     */
+    void setParams(std::uint64_t n, double s);
+
     /** Draw one value in [0, n), consuming uniforms from @p rng. */
     std::uint64_t sample(Rng &rng) const;
 
@@ -164,11 +177,17 @@ class ZipfSampler
     double s() const { return s_; }
 
   private:
+    /** Ranks whose acceptance bound is tabulated. */
+    static constexpr std::uint64_t kBoundTable = 4096;
+
     std::uint64_t n_ = 1;
     double s_ = 0.0;
     double hX1_ = 0.0;  //!< h_integral(1.5) - 1
     double d_ = 0.0;    //!< h_integral(0.5)
     double span_ = 0.0; //!< h_integral(n + 0.5) - d
+    /** bound_[k - 1]: acceptance bound of rank k, for s_. Empty until
+     *  the constants above are computed for s_. */
+    std::vector<double> bound_;
 };
 
 /**

@@ -376,10 +376,10 @@ Poller::~Poller()
 namespace {
 
 epoll_event
-epollEventFor(std::uint64_t tag, bool want_write)
+epollEventFor(std::uint64_t tag, bool want_read, bool want_write)
 {
     epoll_event ev{};
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
+    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
     ev.data.u64 = tag;
     return ev;
 }
@@ -389,15 +389,16 @@ epollEventFor(std::uint64_t tag, bool want_write)
 void
 Poller::add(int fd, std::uint64_t tag, bool want_write)
 {
-    epoll_event ev = epollEventFor(tag, want_write);
+    epoll_event ev = epollEventFor(tag, true, want_write);
     if (::epoll_ctl(fd_, EPOLL_CTL_ADD, fd, &ev) != 0)
         failErrno("epoll_ctl(ADD)");
 }
 
 void
-Poller::modify(int fd, std::uint64_t tag, bool want_write)
+Poller::modify(int fd, std::uint64_t tag, bool want_read,
+               bool want_write)
 {
-    epoll_event ev = epollEventFor(tag, want_write);
+    epoll_event ev = epollEventFor(tag, want_read, want_write);
     if (::epoll_ctl(fd_, EPOLL_CTL_MOD, fd, &ev) != 0)
         failErrno("epoll_ctl(MOD)");
 }

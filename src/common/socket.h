@@ -197,8 +197,10 @@ class Poller
     /** Register @p fd under @p tag, watching EPOLLIN (+EPOLLOUT). */
     void add(int fd, std::uint64_t tag, bool want_write = false);
 
-    /** Change the EPOLLOUT interest of a registered fd. */
-    void modify(int fd, std::uint64_t tag, bool want_write);
+    /** Change the EPOLLIN and EPOLLOUT interest of a registered fd.
+     *  Hang-ups and errors are reported either way. */
+    void modify(int fd, std::uint64_t tag, bool want_read,
+                bool want_write);
 
     /** Deregister @p fd (must still be open). */
     void remove(int fd);

@@ -191,6 +191,16 @@ readDatasetCsvFile(const std::string &path, const std::string &target_name,
 
 namespace {
 
+/** A cell value as `%.12g` prints it, without a stream per cell. */
+std::string
+formatCell(double v)
+{
+    char buffer[32];
+    const auto result = std::to_chars(buffer, buffer + sizeof buffer, v,
+                                      std::chars_format::general, 12);
+    return std::string(buffer, result.ptr);
+}
+
 CsvTable
 datasetToCsvTable(const Dataset &ds)
 {
@@ -208,16 +218,9 @@ datasetToCsvTable(const Dataset &ds)
     for (std::size_t r = 0; r < ds.size(); ++r) {
         std::vector<std::string> row;
         row.reserve(table.header.size());
-        for (double v : ds.row(r)) {
-            std::ostringstream os;
-            os.precision(12);
-            os << v;
-            row.push_back(os.str());
-        }
-        std::ostringstream os;
-        os.precision(12);
-        os << ds.target(r);
-        row.push_back(os.str());
+        for (double v : ds.row(r))
+            row.push_back(formatCell(v));
+        row.push_back(formatCell(ds.target(r)));
         row.push_back(ds.tag(r));
         if (ds.hasCorun()) {
             row.push_back(std::to_string(ds.corun(r).core));

@@ -10,7 +10,8 @@ namespace mtperf::serve {
 
 namespace {
 
-/** Per-recv scratch size; frames larger than this just take turns. */
+/** Bytes read per readiness event; frames larger than this just take
+ *  turns. */
 constexpr std::size_t kReadChunk = 64 * 1024;
 
 /** How long stop() keeps nursing unflushed replies per connection. */
@@ -76,8 +77,10 @@ EventLoop::send(Conn &conn, std::string &&bytes, bool close_after)
     mtperf_assert(onLoopThread(), "EventLoop::send() off the loop thread");
     if (!conn.sock_.valid())
         return; // connection already gone; reply dropped
-    if (!bytes.empty())
+    if (!bytes.empty()) {
+        conn.queuedBytes_ += bytes.size();
         conn.writeQueue_.push_back(std::move(bytes));
+    }
     if (close_after)
         conn.closing_ = true;
     flushWrites(conn);
@@ -220,16 +223,16 @@ EventLoop::acceptReady(const net::Socket &listener)
 void
 EventLoop::readReady(Conn &conn)
 {
+    // One read per readiness event: the poller is level-triggered, so
+    // a socket with more bytes waiting is reported again on the next
+    // round, after every other ready connection had its turn.
     char buffer[kReadChunk];
     bool eof = false;
     try {
         MTPERF_FAULT_POINT("serve.read");
-        while (conn.sock_.valid()) {
-            const std::size_t got =
-                net::readSome(conn.sock_.fd(), buffer, sizeof(buffer),
-                              &eof);
-            if (got == 0)
-                break; // EAGAIN or EOF
+        const std::size_t got = net::readSome(
+            conn.sock_.fd(), buffer, sizeof(buffer), &eof);
+        if (got > 0) {
             conn.lastActivity_ = std::chrono::steady_clock::now();
             conn.assembler_.feed(buffer, got);
             Frame frame;
@@ -262,6 +265,7 @@ EventLoop::readReady(Conn &conn)
 void
 EventLoop::flushWrites(Conn &conn)
 {
+    const std::size_t queued_before = conn.queuedBytes_;
     while (!conn.writeQueue_.empty()) {
         const std::string &front = conn.writeQueue_.front();
         std::size_t wrote = 0;
@@ -273,26 +277,34 @@ EventLoop::flushWrites(Conn &conn)
             closeConn(conn); // peer is gone
             return;
         }
-        if (wrote == 0) {
-            // Kernel buffer full: let epoll tell us when to resume.
-            if (!conn.wantWrite_) {
-                conn.wantWrite_ = true;
-                poller_.modify(conn.sock_.fd(), conn.id_, true);
-            }
-            return;
-        }
+        if (wrote == 0)
+            break; // kernel buffer full: epoll says when to resume
         conn.writeOffset_ += wrote;
+        conn.queuedBytes_ -= wrote;
         if (conn.writeOffset_ == front.size()) {
             conn.writeQueue_.pop_front();
             conn.writeOffset_ = 0;
         }
     }
-    if (conn.wantWrite_) {
-        conn.wantWrite_ = false;
-        poller_.modify(conn.sock_.fd(), conn.id_, false);
-    }
-    if (conn.closing_)
+    // While the loop holds off reading a connection, a peer that
+    // takes its replies is what keeps it from looking idle.
+    if (!conn.wantRead_ && conn.queuedBytes_ != queued_before)
+        conn.lastActivity_ = std::chrono::steady_clock::now();
+    updateInterest(conn);
+    if (conn.closing_ && conn.writeQueue_.empty())
         closeConn(conn);
+}
+
+void
+EventLoop::updateInterest(Conn &conn)
+{
+    const bool want_read = conn.queuedBytes_ <= kMaxQueuedReplyBytes;
+    const bool want_write = !conn.writeQueue_.empty();
+    if (want_read == conn.wantRead_ && want_write == conn.wantWrite_)
+        return;
+    conn.wantRead_ = want_read;
+    conn.wantWrite_ = want_write;
+    poller_.modify(conn.sock_.fd(), conn.id_, want_read, want_write);
 }
 
 void
@@ -303,6 +315,7 @@ EventLoop::closeConn(Conn &conn)
     poller_.remove(conn.sock_.fd());
     conn.sock_.close();
     conn.writeQueue_.clear();
+    conn.queuedBytes_ = 0;
     numConns_.fetch_sub(1, std::memory_order_relaxed);
     activeGauge_.add(-1);
     dead_.push_back(conn.id_); // erased at the loop-iteration edge

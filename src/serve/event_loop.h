@@ -10,14 +10,19 @@
  * thousands of connections over them, where the previous design spent
  * one OS thread (and its stack) per connection.
  *
- * Reads are level-triggered: the loop drains the socket into the
- * connection's FrameAssembler and hands every completed CRC-checked
- * frame to the onFrame handler on the loop thread. The handler
+ * Reads are level-triggered: each readiness event reads the socket
+ * once (up to 64 KiB) into the connection's FrameAssembler and hands
+ * every completed CRC-checked frame to the onFrame handler on the
+ * loop thread; a socket with more to read is simply reported again,
+ * after the loop has served the other ready connections. The handler
  * replies with send(), also on the loop thread: it writes directly
  * and queues only what the kernel refuses (registering EPOLLOUT until
  * the queue drains). Because a connection's replies all funnel
  * through its loop's queue, replies keep request order per
- * connection without any write lock.
+ * connection without any write lock. While a connection's unsent
+ * replies exceed kMaxQueuedReplyBytes the loop stops reading it, so
+ * a client that pipelines requests without reading the replies is
+ * held back by TCP flow control instead of growing the queue.
  *
  * A loop may also own the listening socket: accepted sockets are
  * passed to the onAccept handler, which places them on a loop
@@ -70,6 +75,8 @@ class Conn
     FrameAssembler assembler_;
     std::deque<std::string> writeQueue_;
     std::size_t writeOffset_ = 0; //!< into writeQueue_.front()
+    std::size_t queuedBytes_ = 0; //!< unsent bytes in writeQueue_
+    bool wantRead_ = true;   //!< registered for EPOLLIN
     bool wantWrite_ = false; //!< registered for EPOLLOUT
     bool closing_ = false;   //!< close once the write queue drains
     std::chrono::steady_clock::time_point lastActivity_;
@@ -79,6 +86,9 @@ class Conn
 class EventLoop
 {
   public:
+    /** Unsent reply bytes above which a connection is not read. */
+    static constexpr std::size_t kMaxQueuedReplyBytes = 1u << 20;
+
     struct Options
     {
         int pollIntervalMs = 50; //!< tick cadence (stop, idle sweep)
@@ -146,6 +156,9 @@ class EventLoop
     void acceptReady(const net::Socket &listener);
     void readReady(Conn &conn);
     void flushWrites(Conn &conn);
+    /** Register the EPOLLIN/EPOLLOUT interest @p conn's write queue
+     *  calls for, when it differs from the registered one. */
+    void updateInterest(Conn &conn);
     void closeConn(Conn &conn);
     void sweepIdle();
     bool onLoopThread() const;

@@ -1,5 +1,6 @@
 #include "uarch/cache.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -8,10 +9,11 @@ namespace mtperf::uarch {
 
 Cache::Cache(const CacheConfig &config) : config_(config)
 {
-    if (config_.lineBytes == 0 ||
+    if (config_.lineBytes < 2 ||
         (config_.lineBytes & (config_.lineBytes - 1)) != 0) {
         mtperf_fatal("cache '", config_.name,
-                     "': line size must be a power of two");
+                     "': line size must be a power of two of at least "
+                     "2 bytes");
     }
     if (config_.associativity == 0)
         mtperf_fatal("cache '", config_.name, "': zero associativity");
@@ -27,9 +29,10 @@ Cache::Cache(const CacheConfig &config) : config_(config)
                      "': set count must be a power of two");
     lineShift_ = static_cast<std::uint32_t>(
         std::countr_zero(static_cast<std::uint64_t>(config_.lineBytes)));
-    lines_.assign(static_cast<std::size_t>(numSets_) *
-                      config_.associativity,
-                  Line{});
+    const std::size_t ways =
+        static_cast<std::size_t>(numSets_) * config_.associativity;
+    tags_.assign(ways, kInvalidTag);
+    lastUse_.assign(ways, 0);
 }
 
 std::uint32_t
@@ -42,42 +45,43 @@ CacheAccessOutcome
 Cache::lookupTracked(Addr addr, bool demand)
 {
     const Addr line_addr = addr >> lineShift_;
-    const std::uint32_t set = setIndex(line_addr);
-    Line *base = lines_.data() +
-                 static_cast<std::size_t>(set) * config_.associativity;
+    const std::size_t first =
+        static_cast<std::size_t>(setIndex(line_addr)) *
+        config_.associativity;
+    Addr *tags = tags_.data() + first;
+    std::uint64_t *last_use = lastUse_.data() + first;
     ++useClock_;
 
     CacheAccessOutcome out;
     for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-        Line &line = base[w];
-        if (line.valid && line.tag == line_addr) {
-            line.lastUse = useClock_;
+        if (tags[w] == line_addr) {
+            last_use[w] = useClock_;
             out.hit = true;
-            out.lineIndex = set * config_.associativity + w;
+            out.lineIndex = static_cast<std::uint32_t>(first + w);
             return out;
         }
     }
 
-    // Miss: evict the LRU way.
-    Line *victim = base;
+    // Miss: fill the first empty way after way 0, else evict the LRU
+    // way (lowest index on ties).
+    std::uint32_t victim = 0;
     for (std::uint32_t w = 1; w < config_.associativity; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+        if (tags[w] == kInvalidTag) {
+            victim = w;
             break;
         }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
+        if (last_use[w] < last_use[victim])
+            victim = w;
     }
-    if (victim->valid) {
+    if (tags[victim] != kInvalidTag) {
         out.evictedValid = true;
-        out.evictedLineAddr = victim->tag;
+        out.evictedLineAddr = tags[victim];
     }
-    victim->valid = true;
-    victim->tag = line_addr;
-    victim->lastUse = useClock_;
+    tags[victim] = line_addr;
+    last_use[victim] = useClock_;
     if (!demand)
         ++prefetchFills_;
-    out.lineIndex = static_cast<std::uint32_t>(victim - lines_.data());
+    out.lineIndex = static_cast<std::uint32_t>(first + victim);
     return out;
 }
 
@@ -117,12 +121,11 @@ bool
 Cache::probe(Addr addr) const
 {
     const Addr line_addr = addr >> lineShift_;
-    const std::uint32_t set = setIndex(line_addr);
-    const Line *base = lines_.data() +
-                       static_cast<std::size_t>(set) *
+    const Addr *tags =
+        tags_.data() + static_cast<std::size_t>(setIndex(line_addr)) *
                            config_.associativity;
     for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].tag == line_addr)
+        if (tags[w] == line_addr)
             return true;
     }
     return false;
@@ -143,8 +146,8 @@ Cache::fillTracked(Addr addr)
 void
 Cache::reset()
 {
-    for (auto &line : lines_)
-        line = Line{};
+    std::fill(tags_.begin(), tags_.end(), kInvalidTag);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
     useClock_ = 0;
     accesses_ = 0;
     misses_ = 0;

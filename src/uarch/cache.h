@@ -90,12 +90,11 @@ class Cache
     std::uint32_t numSets() const { return numSets_; }
 
   private:
-    struct Line
-    {
-        Addr tag = ~0ULL;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /**
+     * Tag of an empty way. Lines are at least 2 bytes, so no line
+     * address (addr >> lineShift_) reaches it.
+     */
+    static constexpr Addr kInvalidTag = ~Addr{0};
 
     std::uint32_t setIndex(Addr line_addr) const;
     bool lookup(Addr addr, bool demand);
@@ -104,7 +103,10 @@ class Cache
     CacheConfig config_;
     std::uint32_t numSets_ = 0;
     std::uint32_t lineShift_ = 0;
-    std::vector<Line> lines_; //!< numSets * associativity, set-major
+    /** Per-way state, numSets * associativity each, set-major, so a
+     *  set's tags are contiguous (an 8-way set's fill one host line). */
+    std::vector<Addr> tags_;
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

@@ -9,11 +9,19 @@
  * and LOAD_BLOCK.OVERLAP_STORE (a partial overlap that cannot forward
  * at all and must wait for the store to drain). The model keeps a
  * small buffer of recent stores and classifies each load against it.
+ *
+ * Most loads touch no buffered store, so the queue also keeps two
+ * summaries that let such a load skip the buffer walk: a count of
+ * buffered stores per hashed 8-byte granule, and the last sequence
+ * number at which a slow-address store can still block. A load whose
+ * granules are all uncounted and that lies past that horizon gets the
+ * empty result the walk would have returned.
  */
 
 #ifndef MTPERF_UARCH_LSQ_H_
 #define MTPERF_UARCH_LSQ_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -66,6 +74,9 @@ class LoadStoreQueue
     std::uint64_t overlapBlocks() const { return overlapBlocks_; }
 
   private:
+    /** Hashed granules: 256 x 8 B, so granules 2 KiB apart alias. */
+    static constexpr std::size_t kGranules = 256;
+
     struct StoreEntry
     {
         Addr addr = 0;
@@ -75,9 +86,27 @@ class LoadStoreQueue
         bool valid = false;
     };
 
+    /** Add @p delta (+1 or -1) to the count of every granule
+     *  @p store covers. */
+    void countGranules(const StoreEntry &store, int delta);
+
+    /** The scan behind checkLoad, run when the summaries cannot
+     *  prove the load independent. */
+    LoadBlockResult walk(Addr addr, std::uint8_t size, std::uint64_t seq);
+
     LsqConfig config_;
     std::vector<StoreEntry> buffer_; //!< ring of recent stores
     std::size_t head_ = 0;
+    /**
+     * Buffered stores covering each hashed granule of
+     * [addr, addr + max(size, 1)). A store spans at most 33 granules,
+     * fewer than kGranules, so no count exceeds storeBufferEntries.
+     */
+    std::array<std::uint32_t, kGranules> granuleStores_{};
+    /** Largest seq + staWindowOps (saturating) of any slow-address
+     *  store since reset(): a load with a larger seq is past every
+     *  slow store's window. */
+    std::uint64_t slowHorizon_ = 0;
     std::uint64_t staBlocks_ = 0;
     std::uint64_t stdBlocks_ = 0;
     std::uint64_t overlapBlocks_ = 0;

@@ -1,5 +1,6 @@
 #include "uarch/tlb.h"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.h"
@@ -8,9 +9,10 @@ namespace mtperf::uarch {
 
 Tlb::Tlb(const TlbConfig &config) : config_(config)
 {
-    if (config_.pageBytes == 0 ||
+    if (config_.pageBytes < 2 ||
         (config_.pageBytes & (config_.pageBytes - 1)) != 0) {
-        mtperf_fatal("TLB: page size must be a power of two");
+        mtperf_fatal("TLB: page size must be a power of two of at least "
+                     "2 bytes");
     }
     if (config_.associativity == 0 ||
         config_.entries % config_.associativity != 0) {
@@ -21,7 +23,8 @@ Tlb::Tlb(const TlbConfig &config) : config_(config)
         mtperf_fatal("TLB: set count must be a power of two");
     pageShift_ = static_cast<std::uint32_t>(
         std::countr_zero(static_cast<std::uint64_t>(config_.pageBytes)));
-    entries_.assign(static_cast<std::size_t>(config_.entries), Entry{});
+    vpns_.assign(config_.entries, kInvalidVpn);
+    lastUse_.assign(config_.entries, 0);
 }
 
 bool
@@ -30,39 +33,41 @@ Tlb::access(Addr addr)
     ++accesses_;
     ++useClock_;
     const Addr vpn = addr >> pageShift_;
-    const std::uint32_t set =
-        static_cast<std::uint32_t>(vpn & (numSets_ - 1));
-    Entry *base = entries_.data() +
-                  static_cast<std::size_t>(set) * config_.associativity;
+    const std::size_t first =
+        static_cast<std::size_t>(vpn & (numSets_ - 1)) *
+        config_.associativity;
+    Addr *vpns = vpns_.data() + first;
+    std::uint64_t *last_use = lastUse_.data() + first;
 
     for (std::uint32_t w = 0; w < config_.associativity; ++w) {
-        if (base[w].valid && base[w].vpn == vpn) {
-            base[w].lastUse = useClock_;
+        if (vpns[w] == vpn) {
+            last_use[w] = useClock_;
             return true;
         }
     }
 
+    // Miss: fill the first empty way after way 0, else evict the LRU
+    // way (lowest index on ties).
     ++misses_;
-    Entry *victim = base;
+    std::uint32_t victim = 0;
     for (std::uint32_t w = 1; w < config_.associativity; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+        if (vpns[w] == kInvalidVpn) {
+            victim = w;
             break;
         }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
+        if (last_use[w] < last_use[victim])
+            victim = w;
     }
-    victim->valid = true;
-    victim->vpn = vpn;
-    victim->lastUse = useClock_;
+    vpns[victim] = vpn;
+    last_use[victim] = useClock_;
     return false;
 }
 
 void
 Tlb::reset()
 {
-    for (auto &e : entries_)
-        e = Entry{};
+    std::fill(vpns_.begin(), vpns_.end(), kInvalidVpn);
+    std::fill(lastUse_.begin(), lastUse_.end(), 0);
     useClock_ = 0;
     accesses_ = 0;
     misses_ = 0;

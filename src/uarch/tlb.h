@@ -43,17 +43,16 @@ class Tlb
     std::uint64_t misses() const { return misses_; }
 
   private:
-    struct Entry
-    {
-        Addr vpn = ~0ULL;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
+    /** VPN of an empty way. Pages are at least 2 bytes, so no VPN
+     *  (addr >> pageShift_) reaches it. */
+    static constexpr Addr kInvalidVpn = ~Addr{0};
 
     TlbConfig config_;
     std::uint32_t numSets_ = 0;
     std::uint32_t pageShift_ = 0;
-    std::vector<Entry> entries_;
+    /** Per-way state, entries each, set-major. */
+    std::vector<Addr> vpns_;
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
     std::uint64_t accesses_ = 0;
     std::uint64_t misses_ = 0;

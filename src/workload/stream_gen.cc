@@ -58,9 +58,9 @@ StreamGenerator::setParams(const PhaseParams &params)
         pc_ >= codeBase_ + codeLines_ * kLineBytes) {
         pc_ = codeBase_;
     }
-    hotSampler_ = ZipfSampler(hotLines_, 1.2);
-    dataSampler_ = ZipfSampler(dataLines_, params_.zipfS);
-    codeSampler_ = ZipfSampler(codeLines_, params_.codeZipfS);
+    hotSampler_.setParams(hotLines_, 1.2);
+    dataSampler_.setParams(dataLines_, params_.zipfS);
+    codeSampler_.setParams(codeLines_, params_.codeZipfS);
     depSampler_ = GeometricSampler(params_.depGeoP);
 }
 

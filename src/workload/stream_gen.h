@@ -62,8 +62,10 @@ class StreamGenerator
 
     /**
      * Per-footprint Zipf samplers and the dependency-distance sampler,
-     * rebuilt by setParams (per section) instead of re-deriving their
-     * constants on every draw.
+     * re-targeted by setParams (per section) instead of re-deriving
+     * their constants on every draw. A Zipf sampler keeps its
+     * acceptance table while its exponent is unchanged, which holds
+     * for every section of a phase.
      */
     ZipfSampler hotSampler_;
     ZipfSampler dataSampler_;

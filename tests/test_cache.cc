@@ -154,6 +154,13 @@ TEST(Cache, GeometryValidation)
     bad_line.lineBytes = 48;
     EXPECT_THROW(Cache{bad_line}, FatalError);
 
+    // A 1-byte line would let a line address equal the empty-way tag.
+    CacheConfig byte_line = tinyCache(1024, 2);
+    byte_line.lineBytes = 1;
+    EXPECT_THROW(Cache{byte_line}, FatalError);
+    byte_line.lineBytes = 2;
+    EXPECT_NO_THROW(Cache{byte_line});
+
     CacheConfig bad_assoc = tinyCache(1024, 0);
     EXPECT_THROW(Cache{bad_assoc}, FatalError);
 

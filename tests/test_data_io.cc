@@ -3,6 +3,7 @@
  * Tests for dataset CSV/ARFF serialization.
  */
 
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -37,6 +38,52 @@ TEST(DatasetCsv, RoundTripPreservesEverything)
         EXPECT_EQ(back.tag(r), ds.tag(r));
         for (std::size_t a = 0; a < ds.numAttributes(); ++a)
             EXPECT_DOUBLE_EQ(back.value(r, a), ds.value(r, a));
+    }
+}
+
+TEST(DatasetCsv, CellsMatchTheStreamFormatting)
+{
+    // The writer formats cells with std::to_chars at precision 12; the
+    // bytes must stay those an ostream at precision 12 (%.12g) gave.
+    const double values[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -4.9406564584124654e-320,
+        std::numeric_limits<double>::min(),
+        1e15,
+        1e-15,
+        -1e15,
+        123456789012.5,
+        1234567890123.0,
+        1e21,
+        0.1 + 0.2,
+        -2.0 / 3.0,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    Dataset ds(Schema(std::vector<std::string>{"a"}, "y"));
+    for (double v : values)
+        ds.addRow(std::vector<double>{v}, -v, "t");
+    std::ostringstream out;
+    writeDatasetCsv(out, ds);
+
+    std::istringstream lines(out.str());
+    std::string line;
+    ASSERT_TRUE(std::getline(lines, line));
+    EXPECT_EQ(line, "a,y,tag");
+    for (double v : values) {
+        std::ostringstream cell, target;
+        cell.precision(12);
+        cell << v;
+        target.precision(12);
+        target << -v;
+        ASSERT_TRUE(std::getline(lines, line));
+        EXPECT_EQ(line, cell.str() + "," + target.str() + ",t");
     }
 }
 

@@ -7,6 +7,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,6 +275,43 @@ TEST(Rng, GoldenStreams)
     const GeometricSampler certain(1.0);
     EXPECT_EQ(crcOfDraws([&](Rng &r) { return certain.sample(r); }),
               0x011ffca6u);
+
+    // The generator's Zipf shapes: hot lines (s = 1.2), data and code
+    // footprints. The last draws ranks beyond the tabulated bounds.
+    const ZipfSampler hot(256, 1.2);
+    EXPECT_EQ(crcOfDraws([&](Rng &r) { return hot.sample(r); }),
+              0xf234f52au);
+    const ZipfSampler code(384, 1.1);
+    EXPECT_EQ(crcOfDraws([&](Rng &r) { return code.sample(r); }),
+              0x5ddf557du);
+    const ZipfSampler harmonic(65536, 1.0);
+    EXPECT_EQ(crcOfDraws([&](Rng &r) { return harmonic.sample(r); }),
+              0xa19afeb6u);
+    const ZipfSampler data(1572864, 0.85);
+    EXPECT_EQ(crcOfDraws([&](Rng &r) { return data.sample(r); }),
+              0x39fe1d51u);
+}
+
+// One sampler re-targeted the way the generator re-targets its
+// samplers each section: n grows inside and past the bound table,
+// shrinks, drops to 1 and comes back, then s changes. Every step must
+// draw what a freshly constructed ZipfSampler(n, s) draws; the pin was
+// recorded from fresh samplers.
+TEST(Rng, GoldenZipfRetargetStream)
+{
+    const std::pair<std::uint64_t, double> steps[] = {
+        {256, 1.2},       {384, 1.2},  {8192, 1.2}, {200, 1.2},
+        {1, 1.2},         {300, 1.2},  {1, 0.85},   {5000, 0.85},
+        {1572864, 0.85}, {3000, 0.85}};
+    Rng rng(20070425);
+    Crc32 crc;
+    ZipfSampler zipf;
+    for (const auto &[n, s] : steps) {
+        zipf.setParams(n, s);
+        for (int i = 0; i < 512; ++i)
+            crcWord(crc, zipf.sample(rng));
+    }
+    EXPECT_EQ(crc.value(), 0xcabc80bdu);
 }
 
 TEST(Rng, ShuffleIsPermutation)

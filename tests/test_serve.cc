@@ -3,9 +3,11 @@
  * End-to-end tests for the prediction server: byte-identical remote
  * predictions under concurrent clients, hot reload with a corrupt
  * replacement, requests of any size, fault injection at the serve.*
- * sites, and client recovery from a killed server.
+ * sites, client recovery from a killed server, and fairness and flow
+ * control under pipelining clients.
  */
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -461,6 +463,133 @@ TEST_F(ServeTest, RequestLargerThanTheOldQueueIsServed)
     server.requestStop();
     server.wait();
     EXPECT_EQ(server.stats().rowsPredicted, kRows);
+}
+
+/** @p count single-row PREDICT frames for row 0 of @p ds, encoded
+ *  back to back as a pipelining client sends them. */
+std::string
+pipelinedPredicts(const Dataset &ds, std::size_t count)
+{
+    PredictRequest request;
+    request.rows = 1;
+    request.cols = static_cast<std::uint32_t>(ds.numAttributes());
+    const auto row = ds.row(0);
+    request.values.assign(row.begin(), row.end());
+    Frame frame;
+    frame.type = kMsgPredict;
+    frame.payload = encodePredictRequest(request);
+    std::string bytes;
+    for (std::size_t i = 0; i < count; ++i) {
+        frame.id = static_cast<std::uint32_t>(i + 1);
+        bytes += encodeFrame(frame);
+    }
+    return bytes;
+}
+
+TEST_F(ServeTest, ClientThatNeverReadsIsHeldBackByFlowControl)
+{
+    // A client that pipelines requests and never reads the replies:
+    // once its unsent replies pass the loop's cap, the server stops
+    // reading it, the socket buffers fill, and the client's own
+    // writes stall. A server that kept reading would take all 64 MiB
+    // and queue every reply.
+    Server server(unixOptions("noread"));
+    server.start();
+    net::Socket sock = net::connectTo(
+        net::parseEndpoint("unix:" + socketPath("noread"), 0), 2000);
+    net::setNonBlocking(sock.fd());
+    const std::string batch = pipelinedPredicts(ds_, 1000);
+
+    constexpr std::size_t kLimit = 64u << 20;
+    std::size_t written = 0;
+    bool stalled = false;
+    while (!stalled && written < kLimit) {
+        for (std::size_t off = 0; off < batch.size();) {
+            const std::size_t n = net::writeSome(
+                sock.fd(), batch.data() + off, batch.size() - off);
+            if (n == 0) {
+                // EAGAIN: stalled for good once the server stops
+                // draining the socket for a whole second.
+                if (!net::waitWritable(sock.fd(), 1000)) {
+                    stalled = true;
+                    break;
+                }
+                continue;
+            }
+            off += n;
+            written += n;
+        }
+    }
+    EXPECT_TRUE(stalled) << "wrote " << written << " bytes";
+    EXPECT_LT(written, kLimit);
+
+    sock.close();
+    server.requestStop();
+    server.wait();
+}
+
+TEST_F(ServeTest, FloodingConnectionDoesNotStarveItsLoop)
+{
+    // One loop, two connections. The first pipelines requests from a
+    // writer thread faster than the server answers them and reads the
+    // replies on a reader thread, so its socket never runs dry. A
+    // PREDICT on the second connection must still be answered while
+    // that flood runs, not only once it stops.
+    ServerOptions options = unixOptions("flood");
+    options.ioThreads = 1;
+    Server server(options);
+    server.start();
+    const net::Endpoint endpoint =
+        net::parseEndpoint("unix:" + socketPath("flood"), 0);
+    net::Socket flood = net::connectTo(endpoint, 10000);
+    const std::string batch = pipelinedPredicts(ds_, 256);
+
+    std::atomic<bool> stop{false};
+    std::atomic<bool> flood_over{false};
+    std::atomic<std::size_t> replies{0};
+    std::thread writer([&] {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        try {
+            while (!stop.load() &&
+                   std::chrono::steady_clock::now() < deadline)
+                net::writeAll(flood.fd(), batch.data(), batch.size());
+        } catch (const FatalError &) {
+        }
+        flood_over.store(true);
+        ::shutdown(flood.fd(), SHUT_WR);
+    });
+    std::thread reader([&] {
+        Frame reply;
+        try {
+            while (readFrame(flood.fd(), reply))
+                replies.fetch_add(1);
+        } catch (const FatalError &) {
+        }
+    });
+
+    for (int i = 0; i < 1000 && replies.load() < 2000; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    EXPECT_GE(replies.load(), 2000u) << "the flood never got going";
+
+    Client probe = Client::connect("unix:" + socketPath("flood"), 0);
+    const auto row0 = ds_.row(0);
+    const std::vector<double> row(row0.begin(), row0.end());
+    const PredictResponse response = probe.predict(row, kCounters);
+    const bool answered_during_flood = !flood_over.load();
+    stop.store(true);
+    writer.join();
+    reader.join();
+
+    EXPECT_TRUE(answered_during_flood);
+    ASSERT_EQ(response.predictions.size(), 1u);
+    const double offline = tree_.predict(ds_.row(0));
+    EXPECT_EQ(std::memcmp(&offline, &response.predictions[0],
+                          sizeof offline),
+              0);
+
+    server.requestStop();
+    server.wait();
 }
 
 TEST_F(ServeTest, MismatchedWidthIsARequestError)

@@ -76,6 +76,13 @@ TEST(Tlb, GeometryValidation)
     bad_page.pageBytes = 3000;
     EXPECT_THROW(Tlb{bad_page}, FatalError);
 
+    // A 1-byte page would let a VPN equal the empty-way tag.
+    TlbConfig byte_page = tinyTlb(16, 4);
+    byte_page.pageBytes = 1;
+    EXPECT_THROW(Tlb{byte_page}, FatalError);
+    byte_page.pageBytes = 2;
+    EXPECT_NO_THROW(Tlb{byte_page});
+
     TlbConfig bad_assoc = tinyTlb(15, 4);
     EXPECT_THROW(Tlb{bad_assoc}, FatalError);
 
