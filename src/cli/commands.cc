@@ -699,7 +699,7 @@ cmdPredict(const std::vector<std::string> &args, std::ostream &out)
             p.precision(10);
             a << ds.target(r);
             p << predictions[r];
-            table.rows.push_back({a.str(), p.str(), ds.tag(r)});
+            table.addRow({a.str(), p.str(), ds.tag(r)});
         }
         writeCsvFile(out_path, table);
         out << "predictions written to " << out_path << "\n";

@@ -7,6 +7,20 @@
  * commas/quotes, one header row. This is deliberately not a general
  * RFC-4180 implementation (no embedded newlines in fields).
  *
+ * Storage: a CsvTable keeps the header as strings and every data cell
+ * in one owned byte string, with the end offset of each cell beside
+ * it; cell(r, c) returns a std::string_view into that string. The
+ * table holds offsets, not views, so it copies and moves safely, but a
+ * view from cell() lives only as long as its table (and only until the
+ * next addCell(), which may grow the string).
+ *
+ * Reading is one pass over the input, which arrives with one sized
+ * read: memchr finds each line's end, the footer checksum takes the
+ * line, and the line's fields are split and unquoted in place into the
+ * front of the same buffer, which then becomes the table's cell
+ * string. Writing appends the rows to one string and quotes only the
+ * cells that need it.
+ *
  * Robustness contract:
  *  - every parse error names the source and 1-based line (and column
  *    where one exists), e.g. "data.csv:17:42: unterminated quote";
@@ -22,8 +36,10 @@
 #ifndef MTPERF_COMMON_CSV_H_
 #define MTPERF_COMMON_CSV_H_
 
+#include <initializer_list>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mtperf {
@@ -39,16 +55,17 @@ struct CsvReadOptions
     bool salvage = false;
 };
 
+class CsvCodec;
+
 /** An in-memory CSV table: a header plus data rows of equal width. */
 struct CsvTable
 {
     std::vector<std::string> header;
-    std::vector<std::vector<std::string>> rows;
 
     /** Where the table came from ("<stream>" or a file path). */
     std::string source = "<csv>";
 
-    /** 1-based source line of each row (parallel to rows). */
+    /** 1-based source line of each row (empty for built tables). */
     std::vector<std::size_t> rowLines;
 
     /** True when an integrity footer was present and verified. */
@@ -59,6 +76,39 @@ struct CsvTable
 
     /** Number of columns (from the header). */
     std::size_t columns() const { return header.size(); }
+
+    /** Number of complete data rows. */
+    std::size_t
+    rows() const
+    {
+        return header.empty() ? 0 : ends_.size() / header.size();
+    }
+
+    /** Cell @p c of data row @p r; valid while the table is unchanged. */
+    std::string_view
+    cell(std::size_t r, std::size_t c) const
+    {
+        const std::size_t i = r * header.size() + c;
+        const std::size_t begin = i == 0 ? 0 : ends_[i - 1];
+        return std::string_view(cells_).substr(begin, ends_[i] - begin);
+    }
+
+    /**
+     * Append one cell to the data rows: cells fill the rows in order,
+     * columns() to a row.
+     */
+    void
+    addCell(std::string_view text)
+    {
+        cells_.append(text);
+        ends_.push_back(cells_.size());
+    }
+
+    /** Append one data row of columns() cells. */
+    void addRow(std::initializer_list<std::string_view> cells);
+
+    /** Make room for @p rows rows of @p bytes cell bytes in all. */
+    void reserve(std::size_t rows, std::size_t bytes);
 
     /** 1-based source line of row @p r (0 when unknown). */
     std::size_t
@@ -72,20 +122,19 @@ struct CsvTable
      * @throw FatalError if the column is absent.
      */
     std::size_t columnIndex(const std::string &name) const;
+
+  private:
+    friend class CsvCodec;
+
+    std::string cells_;              //!< every data cell, back to back
+    std::vector<std::size_t> ends_;  //!< end offset of each cell in cells_
 };
 
 /** Parse a single CSV line into fields, honoring quoting. */
 std::vector<std::string> parseCsvLine(const std::string &line);
 
-/**
- * Parse a single CSV line, reporting errors as "source:line:column".
- */
-std::vector<std::string> parseCsvLine(const std::string &line,
-                                      const std::string &source,
-                                      std::size_t line_no);
-
 /** Quote a field if it needs quoting, else return it unchanged. */
-std::string csvEscape(const std::string &field);
+std::string csvEscape(std::string_view field);
 
 /**
  * Read a CSV table from a stream. @p source names the stream in

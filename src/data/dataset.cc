@@ -38,6 +38,14 @@ Dataset::addRowCorun(std::span<const double> attrs, double target,
     corun_.push_back(std::move(corun));
 }
 
+void
+Dataset::reserve(std::size_t rows)
+{
+    values_.reserve(rows * numAttributes());
+    targets_.reserve(rows);
+    tags_.reserve(rows);
+}
+
 const RowCorun &
 Dataset::corun(std::size_t r) const
 {

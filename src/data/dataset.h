@@ -61,6 +61,9 @@ class Dataset
     void addRowCorun(std::span<const double> attrs, double target,
                      std::string tag, RowCorun corun);
 
+    /** Make room for @p rows rows, so appending them never reallocates. */
+    void reserve(std::size_t rows);
+
     /** True when rows carry co-run provenance. */
     bool hasCorun() const { return !corun_.empty(); }
 

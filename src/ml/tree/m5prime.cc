@@ -721,6 +721,7 @@ M5Prime::writeBody(std::ostream &os) const
 void
 M5Prime::saveFile(const std::string &path) const
 {
+    obs::ScopedSpan span("model", "model.save");
     atomicWriteFile(path, [this](std::ostream &out) { save(out); });
 }
 
@@ -894,6 +895,7 @@ M5Prime::load(std::istream &is, const std::string &source)
 M5Prime
 M5Prime::loadFile(const std::string &path)
 {
+    obs::ScopedSpan span("model", "model.load");
     MTPERF_FAULT_POINT("fs.open.fail");
     std::ifstream in(path);
     if (!in)

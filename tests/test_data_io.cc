@@ -3,12 +3,15 @@
  * Tests for dataset CSV/ARFF serialization.
  */
 
+#include <charconv>
+#include <cstring>
 #include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "data/io.h"
 
 namespace mtperf {
@@ -87,6 +90,55 @@ TEST(DatasetCsv, CellsMatchTheStreamFormatting)
     }
 }
 
+TEST(DatasetCsv, DecimalCellsReadAsFromCharsReadsThem)
+{
+    // Plain decimals take a shortcut past std::from_chars; the bits
+    // must be the ones from_chars gives, at every length and scale.
+    Rng rng(17);
+    std::vector<std::string> cells = {"0", "-0", "0.0", "-0.000", "007.50",
+                                      "9007199254740992",
+                                      "9007199254740993",
+                                      "0.9007199254740993",
+                                      "1234567890123456789",
+                                      "12345678901234567890",
+                                      "18446744073709551617", // 2^64 + 1
+                                      "-1844674407370955161.7",
+                                      "000000000000000000001", "1e5", ".5",
+                                      "5.", "-", "--1"};
+    for (int i = 0; i < 20000; ++i) {
+        std::string cell = rng.chance(0.3) ? "-" : "";
+        const std::size_t digits = 1 + rng.uniformInt(20);
+        const std::size_t point = rng.uniformInt(digits);
+        for (std::size_t d = 0; d < digits; ++d) {
+            if (d == point && d > 0)
+                cell += '.';
+            cell += static_cast<char>('0' + rng.uniformInt(10));
+        }
+        cells.push_back(cell);
+    }
+    std::string csv = "a,y\n";
+    for (const std::string &cell : cells)
+        csv += cell + ",1\n";
+    DatasetReadOptions salvage;
+    salvage.salvage = true;
+    std::istringstream in(csv);
+    const Dataset ds = readDatasetCsv(in, "y", salvage);
+
+    std::size_t row = 0;
+    for (const std::string &cell : cells) {
+        double want = 0.0;
+        const auto [ptr, ec] = std::from_chars(
+            cell.data(), cell.data() + cell.size(), want);
+        if (ec != std::errc() || ptr != cell.data() + cell.size())
+            continue; // dropped by the salvaging read
+        ASSERT_LT(row, ds.size());
+        const double got = ds.value(row++, 0);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+            << cell << ": " << got << " vs " << want;
+    }
+    EXPECT_EQ(row, ds.size());
+}
+
 TEST(DatasetCsv, TargetColumnAnywhere)
 {
     std::istringstream in("y,a,b\n1,2,3\n");
@@ -128,6 +180,31 @@ TEST(DatasetCsv, PaddedCellsParse)
     const Dataset ds = readDatasetCsv(in, "y");
     EXPECT_DOUBLE_EQ(ds.value(0, 0), 1.5);
     EXPECT_DOUBLE_EQ(ds.target(0), 2.0);
+}
+
+TEST(DatasetCsv, CoreCellsNoUint32HoldsAreRejected)
+{
+    // A co-run core cell is cast to uint32_t; one out of its range
+    // must fail with the cell's position instead of reaching the cast.
+    for (const char *core : {"inf", "1e20", "4294967296", "-1", "2.5"}) {
+        std::istringstream in(std::string("a,y,core,corun_set\n1,2,") +
+                              core + ",mcf_like+gcc_like\n");
+        try {
+            readDatasetCsv(in, "y");
+            ADD_FAILURE() << "core '" << core << "' was accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "<csv>:2:field 3 (core): core must be a "
+                          "nonnegative integer, got '" +
+                          std::string(core) + "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::istringstream in("a,y,core,corun_set\n1,2,4294967295,s\n");
+    const Dataset ds = readDatasetCsv(in, "y");
+    ASSERT_TRUE(ds.hasCorun());
+    EXPECT_EQ(ds.corun(0).core, 4294967295u);
 }
 
 TEST(DatasetCsv, NoTagColumnDefaultsToEmpty)

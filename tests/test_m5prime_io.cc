@@ -6,14 +6,18 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "corruption_corpus.h"
+#include "data/io.h"
 #include "ml/tree/m5prime.h"
+#include "obs/trace.h"
 
 namespace mtperf {
 namespace {
@@ -104,6 +108,31 @@ TEST(M5PrimeIo, FileRoundTrip)
     const M5Prime loaded = M5Prime::loadFile(path);
     EXPECT_DOUBLE_EQ(loaded.predict(std::vector<double>{0.3, 0.5}),
                      tree.predict(std::vector<double>{0.3, 0.5}));
+}
+
+TEST(M5PrimeIo, PipelineStagesRecordSpans)
+{
+    // write -> read -> fit -> save -> load, as `mtperf train` and
+    // `mtperf predict` run them, each stage under its library span.
+    const std::string csv = testing::TempDir() + "/mtperf_spans.csv";
+    const std::string model = testing::TempDir() + "/mtperf_spans.m5";
+    obs::startTrace();
+    writeDatasetCsvFile(csv, piecewiseDataset(300));
+    const Dataset ds = readDatasetCsvFile(csv, "y");
+    fittedTree(ds).saveFile(model);
+    M5Prime::loadFile(model);
+    obs::stopTrace();
+
+    std::set<std::string> names;
+    const json::JsonValue trace = json::parseJson(obs::traceToJson());
+    for (const json::JsonValue &event : trace.find("traceEvents")->array()) {
+        if (event.find("ph")->string() == "X")
+            names.insert(event.find("name")->string());
+    }
+    for (const char *name : {"data.write_csv", "data.read_csv",
+                             "data.build_dataset", "model.save",
+                             "model.load"})
+        EXPECT_EQ(names.count(name), 1u) << name;
 }
 
 TEST(M5PrimeIo, SingleLeafTreeRoundTrips)

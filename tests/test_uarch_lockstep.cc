@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -500,6 +501,17 @@ struct Geometry
     std::uint32_t prefetchDegree;
 };
 
+// Without a printer GoogleTest names each case by the struct's raw
+// bytes, which hold the name pointer and padding and so differ from
+// run to run.
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << g.sizeBytes << " B " << g.associativity << "-way";
+    if (g.prefetch)
+        *os << " pf" << g.prefetchDegree;
+}
+
 class CacheLockstep : public testing::TestWithParam<Geometry>
 {
 };
@@ -586,6 +598,12 @@ struct TlbGeometry
     std::uint32_t entries;
     std::uint32_t associativity;
 };
+
+void
+PrintTo(const TlbGeometry &g, std::ostream *os)
+{
+    *os << g.entries << " entries " << g.associativity << "-way";
+}
 
 class TlbLockstep : public testing::TestWithParam<TlbGeometry>
 {
