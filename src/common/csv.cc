@@ -71,13 +71,13 @@ checkFooter(std::string_view line, std::size_t rows_seen,
  * passes the byte being read, and its end offset is appended to
  * @p ends. Outside quotes a '\r' is dropped; inside them "" is a
  * quote.
- * @throw FatalError on an unterminated quote, naming @p source,
- * @p line_no and the quote's column.
+ * @return 0, or the 1-based column of a quote the line leaves open;
+ * the line's fields are then incomplete, and the caller rolls back
+ * @p out and @p ends.
  */
-void
+std::size_t
 splitLine(char *buf, std::size_t begin, std::size_t end, std::size_t &out,
-          std::vector<std::size_t> &ends, const std::string &source,
-          std::size_t line_no)
+          std::vector<std::size_t> &ends)
 {
     const std::size_t size = end - begin;
     if (std::memchr(buf + begin, '"', size) == nullptr &&
@@ -95,7 +95,7 @@ splitLine(char *buf, std::size_t begin, std::size_t end, std::size_t &out,
         }
         ends.push_back(cursor);
         out = cursor;
-        return;
+        return 0;
     }
     bool in_quotes = false;
     std::size_t quote_column = 0;
@@ -121,11 +121,10 @@ splitLine(char *buf, std::size_t begin, std::size_t end, std::size_t &out,
             buf[out++] = c;
         }
     }
-    if (in_quotes) {
-        mtperf_fatal(at(source, line_no, quote_column),
-                     "unterminated quote in CSV line");
-    }
+    if (in_quotes)
+        return quote_column;
     ends.push_back(out);
+    return 0;
 }
 
 /** Lines in @p n bytes at @p text, counting a last one without '\n'. */
@@ -259,13 +258,14 @@ CsvCodec::read(std::string text, const std::string &source,
             continue;
         const std::size_t line_out = out;
         const std::size_t line_cells = ends.size();
-        try {
-            splitLine(buf, begin, end, out, ends, source, line_no);
-        } catch (const FatalError &) {
+        const std::size_t open_quote = splitLine(buf, begin, end, out, ends);
+        if (open_quote != 0) {
             out = line_out;
             ends.resize(line_cells);
-            if (!options.salvage)
-                throw;
+            if (!options.salvage) {
+                mtperf_fatal(at(source, line_no, open_quote),
+                             "unterminated quote in CSV line");
+            }
             ++table.droppedRows;
             continue;
         }
@@ -378,7 +378,12 @@ parseCsvLine(const std::string &line)
     std::string buf = line;
     std::vector<std::size_t> ends;
     std::size_t out = 0;
-    splitLine(buf.data(), 0, buf.size(), out, ends, "<csv>", 0);
+    const std::size_t open_quote =
+        splitLine(buf.data(), 0, buf.size(), out, ends);
+    if (open_quote != 0) {
+        mtperf_fatal(at("<csv>", 0, open_quote),
+                     "unterminated quote in CSV line");
+    }
     return fieldStrings(buf.data(), 0, ends.data(), ends.size());
 }
 

@@ -73,9 +73,10 @@ GramSystem::addRow(const double *vals, double y)
     for (std::size_t i = 0; i < k; ++i) {
         const double vi = vals[i];
         xty_[i] += vi * y;
+        double *row = &xtx_(i, 0);
         for (std::size_t j = i; j < k; ++j)
-            xtx_(i, j) += vi * vals[j];
-        xtx_(i, k) += vi;
+            row[j] += vi * vals[j];
+        row[k] += vi;
     }
     xtx_(k, k) += 1.0;
     xty_[k] += y;

@@ -4,7 +4,9 @@
  *
  * Deliberately small: the Gram/Cholesky least-squares solver only
  * needs construction and bounds-checked element access. No products,
- * no expression templates, no views.
+ * no expression templates, no views. Element access is inline: the
+ * Gram accumulation and the Cholesky solves call it in their innermost
+ * loops.
  */
 
 #ifndef MTPERF_MATH_MATRIX_H_
@@ -12,6 +14,8 @@
 
 #include <cstddef>
 #include <vector>
+
+#include "common/logging.h"
 
 namespace mtperf {
 
@@ -28,8 +32,19 @@ class Matrix
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
-    double &operator()(std::size_t r, std::size_t c);
-    double operator()(std::size_t r, std::size_t c) const;
+    double &
+    operator()(std::size_t r, std::size_t c)
+    {
+        mtperf_assert(r < rows_ && c < cols_, "matrix index out of range");
+        return data_[r * cols_ + c];
+    }
+
+    double
+    operator()(std::size_t r, std::size_t c) const
+    {
+        mtperf_assert(r < rows_ && c < cols_, "matrix index out of range");
+        return data_[r * cols_ + c];
+    }
 
   private:
     std::size_t rows_ = 0;

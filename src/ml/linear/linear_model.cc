@@ -8,8 +8,19 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "obs/metrics.h"
 
 namespace mtperf {
+
+namespace {
+
+/**
+ * Rows per block of a simplify() candidate's residual sum: its early
+ * out is checked once per block.
+ */
+constexpr std::size_t kErrorBlockRows = 128;
+
+} // namespace
 
 LinearModel
 LinearModel::constant(double intercept)
@@ -167,25 +178,61 @@ LinearModelFitter::fit() const
 }
 
 double
-LinearModelFitter::maeOfSubset(const LinearModel &m,
-                               std::span<const std::size_t> subset) const
+LinearModelFitter::addAbsResiduals(const LinearModel &m,
+                                   std::span<const std::size_t> subset,
+                                   std::size_t lo, std::size_t hi,
+                                   double acc) const
 {
     // Accumulate predictions term by term over contiguous columns.
     // The per-row addition order (intercept, then terms in order) and
     // the row-order |residual| sum match LinearModel::predict /
-    // meanAbsoluteError exactly, so both paths agree bit-for-bit.
-    std::fill(resid_.begin(), resid_.end(), m.intercept());
+    // meanAbsoluteError exactly, so both paths agree bit-for-bit
+    // however the rows are split into ranges.
+    double *resid = resid_.data();
+    std::fill(resid + lo, resid + hi, m.intercept());
     const auto &terms = m.terms();
     for (std::size_t t = 0; t < terms.size(); ++t) {
         const double coef = terms[t].coef;
         const double *col = cols_.data() + subset[t] * n_;
-        for (std::size_t i = 0; i < n_; ++i)
-            resid_[i] += coef * col[i];
+        for (std::size_t i = lo; i < hi; ++i)
+            resid[i] += coef * col[i];
     }
+    for (std::size_t i = lo; i < hi; ++i)
+        acc += std::abs(resid[i] - y_[i]);
+    return acc;
+}
+
+double
+LinearModelFitter::maeOfSubset(const LinearModel &m,
+                               std::span<const std::size_t> subset) const
+{
+    return addAbsResiduals(m, subset, 0, n_, 0.0) /
+           static_cast<double>(n_);
+}
+
+std::optional<double>
+LinearModelFitter::boundedError(const LinearModel &m,
+                                std::span<const std::size_t> subset,
+                                double bound) const
+{
+    // Exact: every term added is non-negative, and rounding is
+    // monotonic, so the partial sum never exceeds the full one; the
+    // division by n and compensatedError's positive factor are
+    // monotonic too. A partial error at or above the bound therefore
+    // means a full error at or above it, which loses simplify()'s
+    // strict "err < best" test either way.
+    const auto dn = static_cast<double>(n_);
+    const std::size_t v = m.numParameters();
     double acc = 0.0;
-    for (std::size_t i = 0; i < n_; ++i)
-        acc += std::abs(resid_[i] - y_[i]);
-    return acc / static_cast<double>(n_);
+    for (std::size_t lo = 0;; lo += kErrorBlockRows) {
+        const std::size_t hi = std::min(n_, lo + kErrorBlockRows);
+        acc = addAbsResiduals(m, subset, lo, hi, acc);
+        const double err = compensatedError(acc / dn, n_, v);
+        if (hi == n_)
+            return err;
+        if (err >= bound)
+            return std::nullopt;
+    }
 }
 
 std::vector<std::size_t>
@@ -215,6 +262,12 @@ LinearModelFitter::simplify(LinearModel &m) const
 {
     // Per round, refit with each surviving term dropped and keep the
     // single removal that improves the compensated error the most.
+    static obs::Counter &candidatesCounter =
+        obs::counter("linear.simplify_candidates");
+    static obs::Counter &abandonedCounter =
+        obs::counter("linear.simplify_abandoned");
+    std::uint64_t candidates = 0, abandoned = 0;
+
     std::vector<std::size_t> subset = subsetOf(m);
     double best_err =
         compensatedError(maeOfSubset(m, subset), n_, m.numParameters());
@@ -231,11 +284,15 @@ LinearModelFitter::simplify(LinearModel &m) const
                     kept.push_back(subset[j]);
             }
             LinearModel candidate = fitSubset(kept);
-            const double err =
-                compensatedError(maeOfSubset(candidate, kept), n_,
-                                 candidate.numParameters());
-            if (err < best_candidate_err) {
-                best_candidate_err = err;
+            ++candidates;
+            const std::optional<double> err =
+                boundedError(candidate, kept, best_candidate_err);
+            if (!err) {
+                ++abandoned;
+                continue;
+            }
+            if (*err < best_candidate_err) {
+                best_candidate_err = *err;
                 best_drop = drop;
                 best_model = std::move(candidate);
             }
@@ -248,6 +305,8 @@ LinearModelFitter::simplify(LinearModel &m) const
         m = std::move(best_model);
         best_err = best_candidate_err;
     }
+    candidatesCounter.add(candidates);
+    abandonedCounter.add(abandoned);
 }
 
 void

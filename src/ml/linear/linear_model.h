@@ -18,6 +18,7 @@
 #ifndef MTPERF_ML_LINEAR_LINEAR_MODEL_H_
 #define MTPERF_ML_LINEAR_LINEAR_MODEL_H_
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -123,6 +124,12 @@ class LinearModelFitter
      * system after each drop. Trades a slightly larger raw residual
      * for fewer parameters. @p m must have been produced by fit() or a
      * previous simplify() over this fitter.
+     *
+     * A candidate's residual sum stops at the first row block whose
+     * partial sum already gives it an error no lower than the best
+     * candidate's; the candidate could not have won (see
+     * boundedError()). linear.simplify_candidates counts the
+     * candidates, linear.simplify_abandoned those stopped early.
      */
     void simplify(LinearModel &m) const;
 
@@ -137,6 +144,25 @@ class LinearModelFitter
     LinearModel fitSubset(std::span<const std::size_t> subset) const;
     double maeOfSubset(const LinearModel &m,
                        std::span<const std::size_t> subset) const;
+
+    /**
+     * compensatedError() of @p m's MAE, or nullopt once the partial
+     * |residual| sum at a row-block boundary, with rows left, already
+     * gives an error of at least @p bound. The sum only grows, so the
+     * full error would not be below @p bound either.
+     */
+    std::optional<double>
+    boundedError(const LinearModel &m, std::span<const std::size_t> subset,
+                 double bound) const;
+
+    /**
+     * @p acc plus |prediction - target| of @p m over rows [lo, hi), in
+     * row order.
+     */
+    double addAbsResiduals(const LinearModel &m,
+                           std::span<const std::size_t> subset,
+                           std::size_t lo, std::size_t hi,
+                           double acc) const;
 
     std::vector<std::size_t> attrs_;
     std::size_t n_;

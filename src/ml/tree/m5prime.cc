@@ -218,10 +218,12 @@ M5Prime::growNode(Node &node, std::vector<std::size_t> &rows,
     // is a plain O(d * n) scan. tree.sort_elided counts the
     // per-attribute sorts the old per-node algorithm would have run.
     static obs::Counter &sortElided = obs::counter("tree.sort_elided");
-    if (!ctx.cols.built())
+    if (!ctx.cols.built()) {
+        obs::ScopedSpan span("tree", "tree.presort");
         ctx.cols.build(ds);
-    else
+    } else {
         sortElided.add(ds.numAttributes());
+    }
     const SplitChoice best =
         ctx.cols.bestSplit(ds, lo, hi, options_.minInstances);
 

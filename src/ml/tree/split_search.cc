@@ -1,11 +1,120 @@
 #include "ml/tree/split_search.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
 
 namespace mtperf {
+
+namespace {
+
+/**
+ * Bits per radix digit: 8 digits of 256 counters. Wider digits take
+ * fewer passes over large columns but clear and prefix-sum more
+ * counters per column, which small fits (M5Rules, bagging) pay.
+ */
+constexpr std::size_t kRadixBits = 8;
+constexpr std::size_t kRadixBuckets = std::size_t{1} << kRadixBits;
+constexpr std::size_t kRadixDigits = 64 / kRadixBits;
+constexpr std::uint64_t kRadixMask = kRadixBuckets - 1;
+
+/**
+ * A key whose unsigned order is the order of @p v as a double, for
+ * every value but NaN. Positives get the sign bit set and negatives
+ * have every bit flipped, so larger magnitudes sort lower; -0.0 is
+ * folded onto +0.0, which it compares equal to.
+ */
+std::uint64_t
+orderedKey(double v)
+{
+    const std::uint64_t bits =
+        v == 0.0 ? 0 : std::bit_cast<std::uint64_t>(v);
+    const std::uint64_t sign = std::uint64_t{1} << 63;
+    return bits ^ ((0 - (bits >> 63)) | sign);
+}
+
+/**
+ * Write into @p rows the row ids 0..n-1 sorted by (value ascending,
+ * row id ascending), the comparator order of bruteForceBestSplit(),
+ * where row i's value is values[i * stride].
+ *
+ * A stable LSD radix sort on orderedKey(), in two halves: by the key's
+ * low 32 bits, then by its high 32 bits. Each half scatters 64-bit
+ * words holding its 32 key bits above the row id, one digit per pass,
+ * and skips the digits every key shares. Each pass is stable, and the
+ * first starts from row order, so equal keys stay in row id order.
+ * @p keys, @p words and @p spare_words are n-entry scratch.
+ */
+void
+sortRows(const double *values, std::size_t stride, std::size_t n,
+         std::uint64_t *keys, std::uint64_t *words,
+         std::uint64_t *spare_words, std::uint32_t *rows)
+{
+    // One pass counts every digit of every key.
+    std::array<std::array<std::uint32_t, kRadixBuckets>, kRadixDigits>
+        counts{};
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t key = orderedKey(values[i * stride]);
+        keys[i] = key;
+        for (std::size_t digit = 0; digit < kRadixDigits; ++digit)
+            ++counts[digit][(key >> (digit * kRadixBits)) & kRadixMask];
+    }
+    std::array<bool, kRadixDigits> varies{};
+    for (std::size_t digit = 0; n > 0 && digit < kRadixDigits; ++digit) {
+        const std::uint64_t first =
+            (keys[0] >> (digit * kRadixBits)) & kRadixMask;
+        varies[digit] = counts[digit][first] != n;
+    }
+
+    // Scatter the words by digits [from, from + half) of the key,
+    // which the words hold from bit 32 up; @p words ends up holding
+    // the result.
+    constexpr std::size_t half = kRadixDigits / 2;
+    const auto scatter = [&](std::size_t from) {
+        for (std::size_t digit = from; digit < from + half; ++digit) {
+            if (!varies[digit])
+                continue;
+            std::uint32_t *offset = counts[digit].data();
+            std::uint32_t sum = 0;
+            for (std::size_t b = 0; b < kRadixBuckets; ++b) {
+                const std::uint32_t count = offset[b];
+                offset[b] = sum;
+                sum += count;
+            }
+            const std::size_t shift = 32 + (digit - from) * kRadixBits;
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::uint64_t word = words[i];
+                spare_words[offset[(word >> shift) & kRadixMask]++] = word;
+            }
+            std::swap(words, spare_words);
+        }
+    };
+    constexpr std::uint64_t low = 0xffffffffu;
+    const bool low_half_varies =
+        std::find(varies.begin(), varies.begin() + half, true) !=
+        varies.begin() + half;
+    if (low_half_varies) {
+        for (std::size_t i = 0; i < n; ++i)
+            words[i] = (keys[i] << 32) | i;
+        scatter(0);
+        // Same row order, now carrying the high half of each key.
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uint64_t row = words[i] & low;
+            words[i] = (keys[row] & ~low) | row;
+        }
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            words[i] = (keys[i] & ~low) | i;
+    }
+    scatter(half);
+    for (std::size_t i = 0; i < n; ++i)
+        rows[i] = static_cast<std::uint32_t>(words[i]);
+}
+
+} // namespace
 
 void
 scanSplitCandidates(std::span<const double> keys,
@@ -95,27 +204,16 @@ PresortedColumns::build(const Dataset &ds)
     keys_.resize(n);
     targets_.resize(n);
 
-    // Work on the raw row-major block: sort comparators and gather
-    // loops run millions of iterations, so per-element accessor calls
-    // (with their bounds asserts) dominate if left in the loop.
+    // Read the raw row-major block: the key loop runs d * n times, and
+    // per-element accessor calls (with their bounds asserts) would
+    // dominate it.
     const double *flat = ds.flatValues().data();
+    std::vector<std::uint64_t> keys(n), words(n), spare_words(n);
     cols_.assign(d, {});
     for (std::size_t attr = 0; attr < d; ++attr) {
-        auto &col = cols_[attr];
-        col.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            col[i] = static_cast<std::uint32_t>(i);
-            keys_[i] = flat[i * d + attr];
-        }
-        const double *keys = keys_.data();
-        std::sort(col.begin(), col.end(),
-                  [keys](std::uint32_t a, std::uint32_t b) {
-                      const double va = keys[a];
-                      const double vb = keys[b];
-                      if (va != vb)
-                          return va < vb;
-                      return a < b; // stable: row id breaks ties
-                  });
+        cols_[attr].resize(n);
+        sortRows(flat + attr, d, n, keys.data(), words.data(),
+                 spare_words.data(), cols_[attr].data());
     }
 }
 

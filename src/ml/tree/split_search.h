@@ -10,21 +10,28 @@
  * over every (attribute, boundary-between-distinct-values) candidate.
  * Two implementations of the same search live here:
  *
- *  - bruteForceBestSplit() sorts the node's rows per attribute on
- *    every call — O(d * n log n) per node. It is the reference
- *    implementation the property tests compare against.
+ *  - bruteForceBestSplit() sorts the node's rows per attribute with a
+ *    (value, row position) comparator on every call — O(d * n log n)
+ *    per node. It is the reference implementation the property tests
+ *    compare against, and the only comparator sort left.
  *  - PresortedColumns sorts each feature column exactly once (at the
  *    tree root) into per-attribute row-index arrays and then *stably
  *    partitions* those arrays down the tree at each split (the CART
  *    presort trick), so every later node's search is a single O(d * n)
- *    scan with no sorting at all.
+ *    scan with no sorting at all. The root sort is a stable LSD radix
+ *    sort of the row ids on a 64-bit key whose unsigned order is the
+ *    values' order (sign bit set on positives, every bit flipped on
+ *    negatives, -0.0 read as +0.0): O(d * n), with O(n) scratch.
  *
  * Deterministic ordering contract (relied on by the byte-identity
  * tests and documented in DESIGN.md §11):
  *
  *  - Rows are scanned per attribute in (value ascending, row position
  *    ascending) order; all prefix sums accumulate in that order, so
- *    the chosen split is a pure function of the node's row set.
+ *    the chosen split is a pure function of the node's row set. -0.0
+ *    and +0.0 are equal values. NaN has no place in the order: the
+ *    CSV reader rejects it, and the comparator gave std::sort an
+ *    invalid ordering on it.
  *  - Candidate thresholds exist only at boundaries between distinct
  *    attribute values and are the midpoint 0.5 * (v_i + v_{i+1}).
  *  - Ties on SDR break to the lowest attribute index, then to the
@@ -107,7 +114,7 @@ SplitChoice bruteForceBestSplit(const Dataset &ds,
 class PresortedColumns
 {
   public:
-    /** Sort every feature column of @p ds; O(d * n log n), once. */
+    /** Sort every feature column of @p ds; O(d * n), once. */
     void build(const Dataset &ds);
 
     bool built() const { return !cols_.empty(); }

@@ -88,6 +88,35 @@ TEST(ReadCsv, RaggedRowThrows)
     EXPECT_THROW(readCsv(in), FatalError);
 }
 
+TEST(ReadCsv, UnterminatedQuoteThrowsNamingTheColumn)
+{
+    std::istringstream in("x,y\n1,2\n3,\"4\n");
+    try {
+        readCsv(in, "f.csv");
+        FAIL() << "expected a FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_STREQ(e.what(), "f.csv:3:3: unterminated quote in CSV line");
+    }
+}
+
+TEST(ReadCsv, SalvageDropsAnUnterminatedQuoteRowWithoutAFatalLine)
+{
+    std::istringstream in("x,y\n1,2\n3,\"4\n5,6\n");
+    CsvReadOptions options;
+    options.salvage = true;
+    testing::internal::CaptureStderr();
+    const auto table = readCsv(in, "f.csv", options);
+    const std::string log = testing::internal::GetCapturedStderr();
+
+    ASSERT_EQ(table.rows(), 2u);
+    EXPECT_EQ(table.cell(1, 0), "5");
+    EXPECT_EQ(table.droppedRows, 1u);
+    EXPECT_EQ(log.find("fatal"), std::string::npos) << log;
+    EXPECT_NE(log.find("f.csv: salvage dropped 1 malformed CSV row\n"),
+              std::string::npos)
+        << log;
+}
+
 TEST(ReadCsv, EmptyInputThrows)
 {
     std::istringstream in("");

@@ -5,8 +5,10 @@
  * The reference below is the line-at-a-time reader that the one-pass
  * CsvTable reader replaced: std::getline per line, a parseCsvLine that
  * builds one std::string per field, and a table of rows of strings. It
- * is kept verbatim apart from its names, plus the one fix both sides
- * now share (a co-run core cell must fit a uint32_t).
+ * is kept verbatim apart from its names, plus the two fixes both sides
+ * now share: a co-run core cell must fit a uint32_t, and the line
+ * parser reports an unterminated quote's column instead of throwing,
+ * so a salvaging read drops such a row without logging a fatal error.
  *
  * Seeded structural mutations of a written counter CSV and a written
  * co-run CSV go through both readers in strict, strict-drop and salvage
@@ -114,9 +116,12 @@ checkFooter(const std::string &line, std::size_t rows_seen,
     return {};
 }
 
+/**
+ * The fields of @p line; @p open_quote gets 0, or the 1-based column
+ * of a quote the line leaves open.
+ */
 std::vector<std::string>
-parseCsvLine(const std::string &line, const std::string &source,
-             std::size_t line_no)
+parseCsvLine(const std::string &line, std::size_t &open_quote)
 {
     std::vector<std::string> fields;
     std::string field;
@@ -145,10 +150,7 @@ parseCsvLine(const std::string &line, const std::string &source,
             field.push_back(c);
         }
     }
-    if (in_quotes) {
-        mtperf_fatal(at(source, line_no, quote_column),
-                     "unterminated quote in CSV line");
-    }
+    open_quote = in_quotes ? quote_column : 0;
     fields.push_back(std::move(field));
     return fields;
 }
@@ -183,12 +185,13 @@ readCsv(std::istream &in, const std::string &source,
         content_crc.update("\n", 1);
         if (line.empty() || line == "\r" || line[0] == '#')
             continue;
-        std::vector<std::string> fields;
-        try {
-            fields = parseCsvLine(line, source, line_no);
-        } catch (const FatalError &) {
-            if (!options.salvage)
-                throw;
+        std::size_t open_quote = 0;
+        std::vector<std::string> fields = parseCsvLine(line, open_quote);
+        if (open_quote != 0) {
+            if (!options.salvage) {
+                mtperf_fatal(at(source, line_no, open_quote),
+                             "unterminated quote in CSV line");
+            }
             ++table.droppedRows;
             continue;
         }

@@ -3,6 +3,8 @@
  * Tests for LinearModel, its fitter and the LinearRegression baseline.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -11,6 +13,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "ml/linear/linear_model.h"
+#include "obs/metrics.h"
 
 namespace mtperf {
 namespace {
@@ -301,6 +304,217 @@ TEST(LinearModelFitter, EmptyAttributeSetFitsTheMean)
         acc += ds.target(r);
     EXPECT_EQ(m.intercept(), acc / static_cast<double>(rows.size()));
     EXPECT_TRUE(m.terms().empty());
+}
+
+/**
+ * LinearModelFitter's term elimination as it was before the early
+ * out: every candidate's |residual| sum runs over all rows. Gathers
+ * the rows and accumulates its own Gram system exactly as the fitter
+ * does.
+ */
+class ReferenceSimplifier
+{
+  public:
+    ReferenceSimplifier(const Dataset &ds, std::span<const std::size_t> rows,
+                        std::vector<std::size_t> attrs)
+        : attrs_(std::move(attrs)), n_(rows.size()), gram_(attrs_.size())
+    {
+        const std::size_t k = attrs_.size();
+        y_.resize(n_);
+        cols_.resize(k * n_);
+        resid_.resize(n_);
+        std::vector<double> vals(k);
+        for (std::size_t i = 0; i < n_; ++i) {
+            const auto row = ds.row(rows[i]);
+            for (std::size_t j = 0; j < k; ++j) {
+                vals[j] = row[attrs_[j]];
+                cols_[j * n_ + i] = vals[j];
+            }
+            y_[i] = ds.target(rows[i]);
+            gram_.addRow(vals.data(), y_[i]);
+        }
+    }
+
+    LinearModel
+    fitSubset(std::span<const std::size_t> subset) const
+    {
+        LinearModel m;
+        const auto solution = gram_.solveSubset(subset);
+        for (std::size_t j = 0; j < subset.size(); ++j)
+            m.addTerm(attrs_[subset[j]], solution[j]);
+        m.setIntercept(solution[subset.size()]);
+        return m;
+    }
+
+    double
+    maeOfSubset(const LinearModel &m,
+                std::span<const std::size_t> subset) const
+    {
+        std::fill(resid_.begin(), resid_.end(), m.intercept());
+        const auto &terms = m.terms();
+        for (std::size_t t = 0; t < terms.size(); ++t) {
+            const double coef = terms[t].coef;
+            const double *col = cols_.data() + subset[t] * n_;
+            for (std::size_t i = 0; i < n_; ++i)
+                resid_[i] += coef * col[i];
+        }
+        double acc = 0.0;
+        for (std::size_t i = 0; i < n_; ++i)
+            acc += std::abs(resid_[i] - y_[i]);
+        return acc / static_cast<double>(n_);
+    }
+
+    std::vector<std::size_t>
+    subsetOf(const LinearModel &m) const
+    {
+        std::vector<std::size_t> subset;
+        for (const auto &term : m.terms()) {
+            const auto it =
+                std::lower_bound(attrs_.begin(), attrs_.end(), term.attr);
+            subset.push_back(static_cast<std::size_t>(it - attrs_.begin()));
+        }
+        return subset;
+    }
+
+    void
+    simplify(LinearModel &m) const
+    {
+        std::vector<std::size_t> subset = subsetOf(m);
+        double best_err = compensatedError(maeOfSubset(m, subset), n_,
+                                           m.numParameters());
+        while (!subset.empty()) {
+            double best_candidate_err = best_err;
+            std::size_t best_drop = subset.size();
+            LinearModel best_model;
+            for (std::size_t drop = 0; drop < subset.size(); ++drop) {
+                std::vector<std::size_t> kept;
+                for (std::size_t j = 0; j < subset.size(); ++j) {
+                    if (j != drop)
+                        kept.push_back(subset[j]);
+                }
+                LinearModel candidate = fitSubset(kept);
+                const double err =
+                    compensatedError(maeOfSubset(candidate, kept), n_,
+                                     candidate.numParameters());
+                if (err < best_candidate_err) {
+                    best_candidate_err = err;
+                    best_drop = drop;
+                    best_model = std::move(candidate);
+                }
+            }
+            if (best_drop == subset.size())
+                break;
+            subset.erase(subset.begin() +
+                         static_cast<std::ptrdiff_t>(best_drop));
+            m = std::move(best_model);
+            best_err = best_candidate_err;
+        }
+    }
+
+  private:
+    std::vector<std::size_t> attrs_;
+    std::size_t n_;
+    std::vector<double> y_;
+    std::vector<double> cols_;
+    GramSystem gram_;
+    mutable std::vector<double> resid_;
+};
+
+std::uint64_t
+bits(double v)
+{
+    return std::bit_cast<std::uint64_t>(v);
+}
+
+/**
+ * Six attributes of falling weight: two strong, two weak, one pure
+ * noise and one either a copy of the first (the ridge path) or noise;
+ * the target is constant when @p constant_target.
+ */
+Dataset
+simplifyDataset(std::size_t n, std::uint64_t seed, bool duplicate_column,
+                bool constant_target)
+{
+    Dataset ds(Schema(
+        std::vector<std::string>{"a", "b", "c", "d", "e", "f"}, "y"));
+    Rng rng(seed);
+    const double weak = rng.uniform(0.0, 0.2);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> x(6);
+        for (double &v : x)
+            v = rng.uniform(-1.0, 1.0);
+        if (duplicate_column)
+            x[5] = x[0];
+        const double y = constant_target
+                             ? 5.0
+                             : 3.0 * x[0] - 2.0 * x[1] + weak * x[2] +
+                                   0.5 * weak * x[3] +
+                                   rng.normal(0.0, 0.3);
+        ds.addRow(x, y);
+    }
+    return ds;
+}
+
+TEST(LinearModelFitter, SimplifyMatchesTheFullSumReferenceBitwise)
+{
+    obs::Counter &abandoned = obs::counter("linear.simplify_abandoned");
+    obs::Counter &candidates = obs::counter("linear.simplify_candidates");
+    const std::uint64_t abandoned_before = abandoned.value();
+    const std::uint64_t candidates_before = candidates.value();
+
+    int cases = 0;
+    for (std::size_t n : {3u, 5u, 7u, 40u, 129u, 700u, 2000u}) {
+        for (std::uint64_t seed : {1u, 2u, 3u}) {
+            for (int shape = 0; shape < 3; ++shape) {
+                const Dataset ds =
+                    simplifyDataset(n, seed, shape == 1, shape == 2);
+                // Every row, and every other row (a node's row subset).
+                std::vector<std::size_t> rows = allRows(ds);
+                std::vector<std::size_t> odd;
+                for (std::size_t r = 1; r < ds.size(); r += 2)
+                    odd.push_back(r);
+                for (const auto *subset : {&rows, &odd}) {
+                    if (subset->empty())
+                        continue;
+                    const std::vector<std::size_t> attrs{0, 1, 2, 3, 4, 5};
+                    LinearModelFitter fitter(ds, *subset, attrs);
+                    ReferenceSimplifier reference(ds, *subset, attrs);
+                    LinearModel got = fitter.fit();
+                    LinearModel want = reference.fitSubset(
+                        std::vector<std::size_t>{0, 1, 2, 3, 4, 5});
+                    fitter.simplify(got);
+                    reference.simplify(want);
+
+                    const std::string label =
+                        "n " + std::to_string(n) + " seed " +
+                        std::to_string(seed) + " shape " +
+                        std::to_string(shape) + " rows " +
+                        std::to_string(subset->size());
+                    EXPECT_EQ(bits(got.intercept()), bits(want.intercept()))
+                        << label;
+                    ASSERT_EQ(got.terms().size(), want.terms().size())
+                        << label;
+                    for (std::size_t t = 0; t < got.terms().size(); ++t) {
+                        EXPECT_EQ(got.terms()[t].attr, want.terms()[t].attr)
+                            << label;
+                        EXPECT_EQ(bits(got.terms()[t].coef),
+                                  bits(want.terms()[t].coef))
+                            << label;
+                    }
+                    EXPECT_EQ(bits(fitter.meanAbsoluteError(got)),
+                              bits(reference.maeOfSubset(
+                                  want, reference.subsetOf(want))))
+                        << label;
+                    ++cases;
+                }
+            }
+        }
+    }
+    EXPECT_GT(cases, 100);
+    // The early out fired, on a part of the candidates only.
+    const std::uint64_t fired = abandoned.value() - abandoned_before;
+    EXPECT_GT(fired, 0u);
+    EXPECT_LT(fired, candidates.value() - candidates_before);
 }
 
 } // namespace

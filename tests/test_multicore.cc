@@ -204,8 +204,9 @@ TEST(MulticoreSystem, SoloCoreMatchesPrivateHierarchyExactly)
     for (const auto &field : uarch::counterFields())
         EXPECT_EQ(a.*(field.member), b.*(field.member)) << field.name;
     for (const auto &field : uarch::counterFields()) {
-        if (isContentionCounter(field.name))
+        if (isContentionCounter(field.name)) {
             EXPECT_EQ(b.*(field.member), 0u) << field.name;
+        }
     }
 }
 

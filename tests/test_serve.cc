@@ -351,8 +351,9 @@ TEST_F(ServeTest, GarbageOnTheWireGetsErrorNotCrash)
         } catch (const FatalError &) {
             closed = true; // server hung up mid-reply: acceptable
         }
-        if (!closed)
+        if (!closed) {
             EXPECT_EQ(reply.type, kMsgError);
+        }
     }
 
     // A truncated-but-valid-magic frame must also be survivable: send

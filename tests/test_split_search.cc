@@ -3,10 +3,16 @@
  * Property tests for the shared SDR split search: the presorted
  * incremental implementation must agree bitwise with the brute-force
  * reference at every node of a simulated tree descent, including on
- * duplicate keys, constant columns and exact SDR ties.
+ * duplicate keys, constant columns, signed zeros and exact SDR ties;
+ * and the radix presort must give exactly the columns the comparator
+ * sort it replaced gave.
  */
 
+#include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -48,6 +54,30 @@ awkwardDataset(std::uint64_t seed, std::size_t rows, std::size_t attrs)
                     std::uint64_t(5)));
         }
         ds.addRow(row, rng.uniform() + row[1] + 0.5 * row[attrs - 1]);
+    }
+    return ds;
+}
+
+/**
+ * Like awkwardDataset(), but over negative values and both zeros: a
+ * column of -0.0/+0.0 only, a low-cardinality column mixing signs and
+ * zeros, and one of signed reals.
+ */
+Dataset
+signedDataset(std::uint64_t seed, std::size_t rows)
+{
+    const std::vector<double> pool{-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 3.0};
+    Dataset ds(Schema(
+        std::vector<std::string>{"zeros", "mixed", "reals", "pool"}, "y"));
+    Rng rng(seed);
+    for (std::size_t r = 0; r < rows; ++r) {
+        const double zero = rng.chance(0.5) ? -0.0 : 0.0;
+        const double mixed = pool[rng.uniformInt(pool.size())];
+        const double real = 4.0 * rng.uniform() - 2.0;
+        const double picked = pool[rng.uniformInt(pool.size())];
+        const std::vector<double> row{zero, mixed, real, picked};
+        ds.addRow(row, rng.uniform() + std::abs(mixed) - 0.5 * picked +
+                           (std::signbit(zero) ? 0.25 : 0.0));
     }
     return ds;
 }
@@ -103,17 +133,136 @@ compareRecursively(const Dataset &ds, PresortedColumns &cols,
 TEST(SplitSearch, PresortedMatchesBruteForceDownTheTree)
 {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
-        const Dataset ds = awkwardDataset(seed, 400, 6);
-        PresortedColumns cols;
-        cols.build(ds);
-        std::vector<std::size_t> rows(ds.size());
-        std::iota(rows.begin(), rows.end(), 0);
-        int nodes_checked = 0;
-        compareRecursively(ds, cols, std::move(rows), 0, ds.size(), 5,
-                           0, &nodes_checked);
-        // The descent must actually have exercised several nodes.
-        EXPECT_GT(nodes_checked, 3) << "seed " << seed;
+        for (const Dataset &ds :
+             {awkwardDataset(seed, 400, 6), signedDataset(seed, 400)}) {
+            PresortedColumns cols;
+            cols.build(ds);
+            std::vector<std::size_t> rows(ds.size());
+            std::iota(rows.begin(), rows.end(), 0);
+            int nodes_checked = 0;
+            compareRecursively(ds, cols, std::move(rows), 0, ds.size(), 5,
+                               0, &nodes_checked);
+            // The descent must actually have exercised several nodes.
+            EXPECT_GT(nodes_checked, 3)
+                << "seed " << seed << ", " << ds.numAttributes()
+                << " attributes";
+        }
     }
+}
+
+/**
+ * The comparator presort PresortedColumns::build ran before the radix
+ * sort: row ids by (value ascending, row id ascending), per column.
+ */
+std::vector<std::vector<std::uint32_t>>
+comparatorColumns(const Dataset &ds)
+{
+    const std::size_t n = ds.size();
+    const std::size_t d = ds.numAttributes();
+    const double *flat = ds.flatValues().data();
+    std::vector<double> keys(n);
+    std::vector<std::vector<std::uint32_t>> cols(d);
+    for (std::size_t attr = 0; attr < d; ++attr) {
+        auto &col = cols[attr];
+        col.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            col[i] = static_cast<std::uint32_t>(i);
+            keys[i] = flat[i * d + attr];
+        }
+        const double *k = keys.data();
+        std::sort(col.begin(), col.end(),
+                  [k](std::uint32_t a, std::uint32_t b) {
+                      const double va = k[a];
+                      const double vb = k[b];
+                      if (va != vb)
+                          return va < vb;
+                      return a < b;
+                  });
+    }
+    return cols;
+}
+
+/** Every column of the radix presort equals the comparator's. */
+void
+expectComparatorColumns(const Dataset &ds, const std::string &label)
+{
+    PresortedColumns cols;
+    cols.build(ds);
+    const auto want = comparatorColumns(ds);
+    ASSERT_EQ(cols.size(), ds.size()) << label;
+    for (std::size_t attr = 0; attr < ds.numAttributes(); ++attr) {
+        const auto got = cols.column(attr);
+        ASSERT_TRUE(std::equal(got.begin(), got.end(), want[attr].begin(),
+                               want[attr].end()))
+            << label << ": column " << attr << " diverged";
+    }
+}
+
+/** A one-attribute-per-column dataset with targets 0..n-1. */
+Dataset
+columnsDataset(const std::vector<std::vector<double>> &columns)
+{
+    std::vector<std::string> names;
+    for (std::size_t a = 0; a < columns.size(); ++a)
+        names.push_back("c" + std::to_string(a));
+    Dataset ds(Schema(names, "y"));
+    const std::size_t n = columns.empty() ? 0 : columns[0].size();
+    std::vector<double> row(columns.size());
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t a = 0; a < columns.size(); ++a)
+            row[a] = columns[a][r];
+        ds.addRow(row, static_cast<double>(r));
+    }
+    return ds;
+}
+
+TEST(SplitSearch, RadixPresortMatchesTheComparatorSort)
+{
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double tiny = std::numeric_limits<double>::denorm_min();
+    // Both zeros, subnormals, the normal limits, infinities and a
+    // repeated value, drawn at random into one column.
+    const std::vector<double> edges{
+        -0.0,     0.0,     -1.5,        2.25,     tiny,
+        -tiny,    DBL_MIN / 4, -DBL_MIN / 4, DBL_MIN, -DBL_MIN,
+        inf,      -inf,    DBL_MAX,     -DBL_MAX, 1e-300,
+        -1e-300,  42.0,    42.0,        42.0,     -7e7};
+    Rng rng(2718);
+    for (std::size_t n : {0u, 1u, 2u, 3u, 50u, 1000u}) {
+        std::vector<std::vector<double>> columns(5, std::vector<double>(n));
+        for (std::size_t r = 0; r < n; ++r) {
+            columns[0][r] = edges[rng.uniformInt(edges.size())];
+            columns[1][r] = 42.0; // one repeated value
+            columns[2][r] = rng.chance(0.5) ? -0.0 : 0.0;
+            // Any bit pattern but NaN: every sign, exponent and
+            // mantissa byte.
+            double v = std::bit_cast<double>(rng.next());
+            while (std::isnan(v))
+                v = std::bit_cast<double>(rng.next());
+            columns[3][r] = v;
+            columns[4][r] = static_cast<double>(rng.uniformInt(
+                                std::uint64_t(7))) - 3.0;
+        }
+        expectComparatorColumns(columnsDataset(columns),
+                                "edge values, n = " + std::to_string(n));
+    }
+
+    // More rows than a 16-bit counter holds, over three values.
+    std::vector<std::vector<double>> three(2, std::vector<double>(70000));
+    for (std::size_t r = 0; r < 70000; ++r) {
+        three[0][r] = static_cast<double>(rng.uniformInt(std::uint64_t(3)));
+        three[1][r] = r % 3 == 0 ? -0.25 : (r % 3 == 1 ? 0.0 : 1e9);
+    }
+    expectComparatorColumns(columnsDataset(three), "70,000 rows");
+
+    // A bootstrap resample, as bagging draws it: duplicated rows tie on
+    // every column and must stay in row id order.
+    const Dataset base = signedDataset(31, 300);
+    std::vector<std::size_t> picks(base.size());
+    for (auto &p : picks)
+        p = rng.uniformInt(base.size());
+    expectComparatorColumns(base.subset(picks), "bootstrap resample");
+    expectComparatorColumns(awkwardDataset(5, 500, 6), "awkward dataset");
 }
 
 TEST(SplitSearch, ConstantColumnsNeverSplit)

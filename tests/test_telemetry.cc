@@ -227,7 +227,10 @@ TEST(MetricsHttp, ServesScrapesAndRejectsOtherRequests)
     // Non-GET via a raw exchange (httpGet only speaks GET).
     {
         net::Socket sock = net::connectTo(
-            net::Endpoint{.host = "127.0.0.1", .port = server.port()},
+            net::Endpoint{.unixDomain = false,
+                          .host = "127.0.0.1",
+                          .port = server.port(),
+                          .path = {}},
             2000);
         const std::string request =
             "POST /metrics HTTP/1.1\r\nHost: x\r\n\r\n";

@@ -124,8 +124,9 @@ TEST_F(ValidateHarnessTest, ChasePairRidesAlongAtSteadyStateLength)
     for (const CounterCheck &c : solo.counters) {
         if (c.counter == "l2SharedMisses" ||
             c.counter == "l2OccupancyEvictedByOther" ||
-            c.counter == "prefetchCancellations")
+            c.counter == "prefetchCancellations") {
             EXPECT_EQ(c.actual, 0u) << c.counter;
+        }
     }
 }
 
