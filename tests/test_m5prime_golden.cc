@@ -1,9 +1,11 @@
 /**
  * @file
- * Golden pins of M5' output bytes: a fixed dataset's saved model and
- * its 10-fold out-of-fold predictions, for m5prime and bagged-m5, at
- * one and four threads. Any change to these CRCs moves every model
- * and prediction downstream and must be a deliberate re-baseline.
+ * Golden pins of the tree learners' output bytes: a fixed dataset's
+ * saved M5' model and its 10-fold out-of-fold predictions, for
+ * m5prime, bagged-m5, m5rules and the CART baseline (pruned and
+ * unpruned), at one and four threads. Any change to these CRCs moves
+ * every model and prediction downstream and must be a deliberate
+ * re-baseline.
  */
 
 #include <sstream>
@@ -85,6 +87,25 @@ TEST_P(M5GoldenTest, BaggedM5OutOfFoldPredictionsArePinned)
     const auto cv = crossValidate("bagged-m5:min-instances=30,bags=4",
                                   goldenDataset(), 10, 7);
     EXPECT_EQ(predictionsCrc(cv.predictions), 0x5b37fe88u);
+}
+
+TEST_P(M5GoldenTest, M5RulesOutOfFoldPredictionsArePinned)
+{
+    const auto cv =
+        crossValidate("m5rules:min-instances=30", goldenDataset(), 10, 7);
+    EXPECT_EQ(predictionsCrc(cv.predictions), 0xd23f0eb5u);
+}
+
+TEST_P(M5GoldenTest, CartOutOfFoldPredictionsArePinned)
+{
+    const auto cv = crossValidate("cart", goldenDataset(), 10, 7);
+    EXPECT_EQ(predictionsCrc(cv.predictions), 0x5822e184u);
+}
+
+TEST_P(M5GoldenTest, UnprunedCartOutOfFoldPredictionsArePinned)
+{
+    const auto cv = crossValidate("cart:prune=off", goldenDataset(), 10, 7);
+    EXPECT_EQ(predictionsCrc(cv.predictions), 0xa01b0949u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, M5GoldenTest, testing::Values(1u, 4u));
