@@ -130,19 +130,4 @@ FlatTree::predictBlock(const double *rows, std::size_t width,
     }
 }
 
-void
-FlatTree::leafBlock(const double *rows, std::size_t width,
-                    std::size_t n, std::uint32_t *out) const
-{
-    mtperf_assert(!intercept_.empty(),
-                  "FlatTree::leafBlock on an empty tree");
-    for (std::size_t base = 0; base < n; base += kMaxBlock) {
-        const std::size_t m = std::min(kMaxBlock, n - base);
-        Ref cursor[kMaxBlock];
-        descend(rows + base * width, width, m, cursor);
-        for (std::size_t i = 0; i < m; ++i)
-            out[base + i] = static_cast<std::uint32_t>(~cursor[i]);
-    }
-}
-
 } // namespace mtperf

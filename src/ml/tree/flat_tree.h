@@ -71,10 +71,6 @@ class FlatTree
     void predictBlock(const double *rows, std::size_t width,
                       std::size_t n, double *out) const;
 
-    /** Leaf index reached by each of @p n rows, into @p out. */
-    void leafBlock(const double *rows, std::size_t width, std::size_t n,
-                   std::uint32_t *out) const;
-
   private:
     /**
      * Per-block scratch ceiling: descent cursors and leaf grouping

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
-#include <numeric>
 #include <ostream>
 #include <sstream>
 
@@ -14,7 +13,6 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/strings.h"
-#include "math/stats.h"
 #include "ml/tree/flat_tree.h"
 #include "ml/tree/split_search.h"
 #include "obs/metrics.h"
@@ -45,35 +43,10 @@ guardFiniteModel(LinearModel &model, double mean_target)
 
 } // namespace
 
-/** One tree node; leaves own their training rows until fit() ends. */
-struct M5Prime::Node
-{
-    bool leaf = true;
-    std::size_t splitAttr = 0;
-    double splitValue = 0.0;
-    std::unique_ptr<Node> left;
-    std::unique_ptr<Node> right;
-
-    std::vector<std::size_t> rows; //!< training rows reaching this node
-    std::size_t count = 0;
-    double meanTarget = 0.0;
-    double sdTarget = 0.0;
-
-    LinearModel model;
-    double modelMae = 0.0; //!< model MAE over rows, cached for pruning
-    std::vector<std::size_t> subtreeAttrs; //!< split attrs in this subtree
-    int leafId = -1;
-};
-
-/** Presorted split-search state threaded through growNode. */
-struct M5Prime::GrowCtx
-{
-    PresortedColumns cols;
-};
-
 /** Path bookkeeping threaded through buildModels. */
 struct M5Prime::BuildCtx
 {
+    const Dataset &ds;
     /** Occurrences of each attribute among the splits leading here. */
     std::vector<std::uint32_t> pathCount;
     std::size_t pathDepth = 0;
@@ -83,34 +56,22 @@ struct M5Prime::BuildCtx
 
 namespace {
 
-/** Mean and population standard deviation of targets over @p rows. */
-void
-targetStats(const Dataset &ds, const std::vector<std::size_t> &rows,
-            double &mean_out, double &sd_out)
+/** The stop rules M5' grows under. */
+GrowLimits
+growLimits(const M5Options &options)
 {
-    double sum = 0.0, sq = 0.0;
-    for (std::size_t r : rows) {
-        const double y = ds.target(r);
-        sum += y;
-        sq += y * y;
-    }
-    const auto n = static_cast<double>(rows.size());
-    mean_out = rows.empty() ? 0.0 : sum / n;
-    const double var = rows.empty() ? 0.0 : std::max(0.0, sq / n -
-                                                     mean_out * mean_out);
-    sd_out = std::sqrt(var);
+    return {.minInstances = options.minInstances,
+            .sdFraction = options.sdFraction,
+            .maxDepth = options.maxDepth};
 }
 
 } // namespace
 
 M5Prime::M5Prime(M5Options options) : options_(std::move(options))
 {
-    if (options_.minInstances < 1)
-        mtperf_fatal("M5Prime: minInstances must be >= 1");
-    if (options_.sdFraction < 0.0)
-        mtperf_fatal("M5Prime: sdFraction must be >= 0");
-    if (options_.smoothingK < 0.0)
-        mtperf_fatal("M5Prime: smoothingK must be >= 0");
+    checkGrowLimits(growLimits(options_), "M5Prime");
+    if (!std::isfinite(options_.smoothingK) || options_.smoothingK < 0.0)
+        mtperf_fatal("M5Prime: smoothingK must be finite and >= 0");
 }
 
 M5Prime::~M5Prime() = default;
@@ -124,30 +85,22 @@ M5Prime::fit(const Dataset &train)
         mtperf_fatal("M5Prime: empty training set");
 
     schema_ = train.schema();
-    trainData_ = &train;
     trainSize_ = train.size();
     leaves_.clear();
     leafNodes_.clear();
 
-    std::vector<std::size_t> all_rows(train.size());
-    std::iota(all_rows.begin(), all_rows.end(), 0);
-
-    root_ = std::make_unique<Node>();
-    double root_mean = 0.0;
-    targetStats(train, all_rows, root_mean, rootSd_);
-
     std::size_t grown_nodes = 0;
     {
         obs::ScopedSpan span("tree", "tree.grow");
-        GrowCtx ctx;
-        growNode(*root_, all_rows, 0, train.size(), 0, ctx);
+        root_ = growTree(train, growLimits(options_));
         grown_nodes = numNodes();
     }
     {
         obs::ScopedSpan span("tree", "tree.build_models");
-        BuildCtx ctx;
-        ctx.pathCount.assign(train.numAttributes(), 0);
-        ctx.present.assign(train.numAttributes(), 0);
+        const std::size_t d = train.numAttributes();
+        BuildCtx ctx{.ds = train,
+                     .pathCount = std::vector<std::uint32_t>(d),
+                     .present = std::vector<std::uint8_t>(d)};
         buildModels(*root_, ctx);
         // buildModels fits one linear model per node (interior nodes
         // need one for pruning's subtree-error comparison).
@@ -155,12 +108,13 @@ M5Prime::fit(const Dataset &train)
     }
     {
         obs::ScopedSpan span("tree", "tree.prune");
-        pruneNode(root_);
+        if (options_.prune)
+            pruneTree(*root_);
         obs::counter("tree.nodes_pruned").add(grown_nodes - numNodes());
     }
     if (options_.smooth && options_.smoothingK > 0.0) {
         obs::ScopedSpan span("tree", "tree.smooth");
-        std::vector<const Node *> ancestors;
+        std::vector<const TreeNode *> ancestors;
         smoothLeaves(*root_, ancestors);
     }
 
@@ -173,98 +127,13 @@ M5Prime::fit(const Dataset &train)
     obs::counter("tree.nodes").add(numNodes());
     obs::counter("tree.leaves").add(numLeaves());
 
-    // Release per-node training rows; predictions don't need them.
-    struct Scrubber
-    {
-        static void
-        scrub(Node &n)
-        {
-            n.rows.clear();
-            n.rows.shrink_to_fit();
-            n.subtreeAttrs.clear();
-            if (n.left)
-                scrub(*n.left);
-            if (n.right)
-                scrub(*n.right);
-        }
-    };
-    Scrubber::scrub(*root_);
-    trainData_ = nullptr;
+    releaseRows(*root_);
 }
 
 void
-M5Prime::growNode(Node &node, std::vector<std::size_t> &rows,
-                  std::size_t lo, std::size_t hi, std::size_t depth,
-                  GrowCtx &ctx)
+M5Prime::fitNodeModel(const Dataset &ds, TreeNode &node,
+                      std::vector<std::size_t> attrs)
 {
-    const Dataset &ds = *trainData_;
-    node.count = rows.size();
-    targetStats(ds, rows, node.meanTarget, node.sdTarget);
-
-    const bool too_small = rows.size() < 2 * options_.minInstances ||
-                           rows.size() < 4;
-    const bool pure = node.sdTarget < options_.sdFraction * rootSd_;
-    const bool too_deep =
-        options_.maxDepth != 0 && depth >= options_.maxDepth;
-    if (too_small || pure || too_deep) {
-        node.leaf = true;
-        node.rows = std::move(rows);
-        return;
-    }
-
-    // Split search over presorted columns: each feature column is
-    // sorted once (lazily, at the root — the first node to search)
-    // and stably partitioned down the tree, so every non-root search
-    // is a plain O(d * n) scan. tree.sort_elided counts the
-    // per-attribute sorts the old per-node algorithm would have run.
-    static obs::Counter &sortElided = obs::counter("tree.sort_elided");
-    if (!ctx.cols.built()) {
-        obs::ScopedSpan span("tree", "tree.presort");
-        ctx.cols.build(ds);
-    } else {
-        sortElided.add(ds.numAttributes());
-    }
-    const SplitChoice best =
-        ctx.cols.bestSplit(ds, lo, hi, options_.minInstances);
-
-    if (!best.valid) {
-        node.leaf = true;
-        node.rows = std::move(rows);
-        return;
-    }
-
-    node.leaf = false;
-    node.splitAttr = best.attr;
-    node.splitValue = best.value;
-
-    std::vector<std::size_t> left_rows, right_rows;
-    left_rows.reserve(rows.size());
-    right_rows.reserve(rows.size());
-    for (std::size_t r : rows) {
-        if (ds.value(r, best.attr) <= best.value)
-            left_rows.push_back(r);
-        else
-            right_rows.push_back(r);
-    }
-    mtperf_assert(!left_rows.empty() && !right_rows.empty(),
-                  "degenerate split");
-    node.rows = std::move(rows); // interior nodes keep rows for models
-
-    const std::size_t mid =
-        ctx.cols.partition(ds, lo, hi, best.attr, best.value);
-    mtperf_assert(mid - lo == left_rows.size(),
-                  "presorted partition disagrees with the row split");
-
-    node.left = std::make_unique<Node>();
-    node.right = std::make_unique<Node>();
-    growNode(*node.left, left_rows, lo, mid, depth + 1, ctx);
-    growNode(*node.right, right_rows, mid, hi, depth + 1, ctx);
-}
-
-void
-M5Prime::fitNodeModel(Node &node, std::vector<std::size_t> attrs)
-{
-    const Dataset &ds = *trainData_;
     LinearModelFitter fitter(ds, node.rows, std::move(attrs));
     node.model = fitter.fit();
     if (options_.simplifyModels)
@@ -273,13 +142,12 @@ M5Prime::fitNodeModel(Node &node, std::vector<std::size_t> attrs)
     node.modelMae = fitter.meanAbsoluteError(node.model);
 }
 
-void
-M5Prime::buildModels(Node &node, BuildCtx &ctx)
+std::vector<std::size_t>
+M5Prime::buildModels(TreeNode &node, BuildCtx &ctx)
 {
-    const Dataset &ds = *trainData_;
+    const Dataset &ds = ctx.ds;
     const std::size_t d = ds.numAttributes();
     if (node.leaf) {
-        node.subtreeAttrs.clear();
         // A grown leaf has no subtree tests; its model may regress on
         // the attributes tested on the way down (the split variables
         // that define its class), then simplification keeps only the
@@ -289,7 +157,7 @@ M5Prime::buildModels(Node &node, BuildCtx &ctx)
             node.model = LinearModel::constant(node.meanTarget);
             node.modelMae =
                 node.model.meanAbsoluteError(ds, node.rows);
-            return;
+            return {};
         }
         // Attribute lists are emitted by scanning presence marks in
         // index order: ascending and de-duplicated by construction,
@@ -299,14 +167,14 @@ M5Prime::buildModels(Node &node, BuildCtx &ctx)
             if (ctx.pathCount[a] > 0)
                 attrs.push_back(a);
         }
-        fitNodeModel(node, std::move(attrs));
-        return;
+        fitNodeModel(ds, node, std::move(attrs));
+        return {};
     }
 
     ++ctx.pathCount[node.splitAttr];
     ++ctx.pathDepth;
-    buildModels(*node.left, ctx);
-    buildModels(*node.right, ctx);
+    const std::vector<std::size_t> left = buildModels(*node.left, ctx);
+    const std::vector<std::size_t> right = buildModels(*node.right, ctx);
     --ctx.pathCount[node.splitAttr];
     --ctx.pathDepth;
 
@@ -314,67 +182,30 @@ M5Prime::buildModels(Node &node, BuildCtx &ctx)
     // (Wang & Witten) plus the tests that led here.
     std::fill(ctx.present.begin(), ctx.present.end(), 0);
     ctx.present[node.splitAttr] = 1;
-    for (std::size_t a : node.left->subtreeAttrs)
+    for (std::size_t a : left)
         ctx.present[a] = 1;
-    for (std::size_t a : node.right->subtreeAttrs)
+    for (std::size_t a : right)
         ctx.present[a] = 1;
-    node.subtreeAttrs.clear();
+    std::vector<std::size_t> subtree_attrs;
     std::vector<std::size_t> fit_attrs;
     for (std::size_t a = 0; a < d; ++a) {
         if (ctx.present[a])
-            node.subtreeAttrs.push_back(a);
+            subtree_attrs.push_back(a);
         if (ctx.present[a] || ctx.pathCount[a] > 0)
             fit_attrs.push_back(a);
     }
 
-    fitNodeModel(node, std::move(fit_attrs));
-}
-
-M5Prime::SubtreeCost
-M5Prime::pruneNode(std::unique_ptr<Node> &node_ptr)
-{
-    Node &node = *node_ptr;
-
-    if (node.leaf) {
-        // modelMae was cached by fitNodeModel over exactly these rows
-        // in the same accumulation order, so reusing it here changes
-        // nothing but the cost of the pass.
-        return {node.modelMae, node.model.numParameters()};
-    }
-
-    const SubtreeCost left = pruneNode(node.left);
-    const SubtreeCost right = pruneNode(node.right);
-    const auto nl = static_cast<double>(node.left->count);
-    const auto nr = static_cast<double>(node.right->count);
-
-    SubtreeCost subtree;
-    subtree.rawMae = (nl * left.rawMae + nr * right.rawMae) / (nl + nr);
-    subtree.parameters = left.parameters + right.parameters + 1;
-
-    // Quinlan's pessimistic compensation. Subtrees are charged for
-    // every leaf-model parameter *and* every split threshold below the
-    // node, so deep structure must buy a real residual reduction to
-    // survive.
-    const double subtree_err =
-        compensatedError(subtree.rawMae, node.count, subtree.parameters);
-    const double node_err = compensatedError(
-        node.modelMae, node.count, node.model.numParameters());
-
-    if (options_.prune && node_err <= subtree_err) {
-        node.leaf = true;
-        node.left.reset();
-        node.right.reset();
-        return {node.modelMae, node.model.numParameters()};
-    }
-    return subtree;
+    fitNodeModel(ds, node, std::move(fit_attrs));
+    return subtree_attrs;
 }
 
 void
-M5Prime::smoothLeaves(Node &node, std::vector<const Node *> &ancestors)
+M5Prime::smoothLeaves(TreeNode &node,
+                      std::vector<const TreeNode *> &ancestors)
 {
     if (node.leaf) {
         LinearModel blended = node.model;
-        const Node *below = &node;
+        const TreeNode *below = &node;
         for (auto it = ancestors.rbegin(); it != ancestors.rend(); ++it) {
             blended.blendWith((*it)->model,
                               static_cast<double>(below->count),
@@ -391,7 +222,7 @@ M5Prime::smoothLeaves(Node &node, std::vector<const Node *> &ancestors)
 }
 
 void
-M5Prime::collectLeaves(Node &node, std::vector<PathStep> &path)
+M5Prime::collectLeaves(TreeNode &node, std::vector<PathStep> &path)
 {
     if (node.leaf) {
         node.leafId = static_cast<int>(leaves_.size());
@@ -419,12 +250,7 @@ double
 M5Prime::predict(std::span<const double> row) const
 {
     mtperf_assert(root_ != nullptr, "predict() before fit()");
-    const Node *node = root_.get();
-    while (!node->leaf) {
-        node = row[node->splitAttr] <= node->splitValue ? node->left.get()
-                                                        : node->right.get();
-    }
-    return node->model.predict(row);
+    return leafFor(*root_, row).model.predict(row);
 }
 
 void
@@ -463,7 +289,7 @@ M5Prime::buildFlatTree()
         FlatTree::Builder &builder;
 
         FlatTree::Ref
-        compile(const Node &node)
+        compile(const TreeNode &node)
         {
             if (node.leaf)
                 return builder.addLeaf(node.model);
@@ -500,30 +326,15 @@ M5Prime::depth() const
 std::size_t
 M5Prime::numNodes() const
 {
-    struct Counter
-    {
-        static std::size_t
-        count(const Node &n)
-        {
-            if (n.leaf)
-                return 1;
-            return 1 + count(*n.left) + count(*n.right);
-        }
-    };
     mtperf_assert(root_ != nullptr, "numNodes() before fit()");
-    return Counter::count(*root_);
+    return 2 * countLeaves(*root_) - 1;
 }
 
 std::size_t
 M5Prime::leafIndexFor(std::span<const double> row) const
 {
     mtperf_assert(root_ != nullptr, "leafIndexFor() before fit()");
-    const Node *node = root_.get();
-    while (!node->leaf) {
-        node = row[node->splitAttr] <= node->splitValue ? node->left.get()
-                                                        : node->right.get();
-    }
-    return static_cast<std::size_t>(node->leafId);
+    return static_cast<std::size_t>(leafFor(*root_, row).leafId);
 }
 
 const LeafInfo &
@@ -573,7 +384,7 @@ M5Prime::splitSites() const
         std::vector<PathStep> &path;
 
         void
-        walk(const Node &node)
+        walk(const TreeNode &node)
         {
             if (node.leaf)
                 return;
@@ -612,7 +423,7 @@ M5Prime::print(std::ostream &os) const
         std::ostream &os;
 
         void
-        leafLabel(const Node &n)
+        leafLabel(const TreeNode &n)
         {
             const auto &info = tree.leaves_[static_cast<std::size_t>(
                 n.leafId)];
@@ -621,7 +432,7 @@ M5Prime::print(std::ostream &os) const
         }
 
         void
-        walk(const Node &n, int depth)
+        walk(const TreeNode &n, int depth)
         {
             if (n.leaf) {
                 // Only reached when the whole tree is one leaf.
@@ -631,7 +442,7 @@ M5Prime::print(std::ostream &os) const
             const std::string &attr =
                 tree.schema_.attributeName(n.splitAttr);
             const std::string value = formatDouble(n.splitValue, 6);
-            auto branch = [&](const Node &child, const char *op) {
+            auto branch = [&](const TreeNode &child, const char *op) {
                 for (int i = 0; i < depth; ++i)
                     os << "|   ";
                 os << attr << ' ' << op << ' ' << value << " :";
@@ -697,7 +508,7 @@ M5Prime::writeBody(std::ostream &os) const
         std::ostream &os;
 
         void
-        walk(const Node &node)
+        walk(const TreeNode &node)
         {
             if (!node.leaf) {
                 os << "node s " << node.splitAttr << " "
@@ -736,35 +547,8 @@ M5Prime::load(std::istream &is)
 M5Prime
 M5Prime::load(std::istream &is, const std::string &source)
 {
-    // Slurp the whole input so the v2 checksum can be verified before
-    // a single byte is interpreted: corrupt files fail with a checksum
-    // diagnostic rather than a confusing parse error deep in the body.
     std::string text((std::istreambuf_iterator<char>(is)),
                      std::istreambuf_iterator<char>());
-    if (startsWith(text, "m5prime-model v2")) {
-        const std::string marker = "\nchecksum ";
-        const auto pos = text.rfind(marker);
-        if (pos == std::string::npos) {
-            mtperf_fatal("corrupt model ", source,
-                         ": missing checksum footer (truncated file?)");
-        }
-        const std::string body = text.substr(0, pos + 1);
-        std::uint32_t stored = 0;
-        if (!parseCrc32Hex(trim(text.substr(pos + marker.size())),
-                           stored)) {
-            mtperf_fatal("corrupt model ", source,
-                         ": malformed checksum footer");
-        }
-        const std::uint32_t actual = crc32(body);
-        if (stored != actual) {
-            mtperf_fatal("corrupt model ", source,
-                         ": checksum mismatch (footer says ",
-                         crc32Hex(stored), ", content hashes to ",
-                         crc32Hex(actual), ")");
-        }
-        text = body;
-    }
-
     std::istringstream in(text);
     std::string word;
     auto expect = [&in, &word, &source](const char *expected) {
@@ -774,9 +558,34 @@ M5Prime::load(std::istream &is, const std::string &source)
     };
 
     expect("m5prime-model");
-    if (!(in >> word) || (word != "v1" && word != "v2"))
+    if (!(in >> word) || word != "v2")
         mtperf_fatal("malformed model ", source,
                      ": unsupported format version '", word, "'");
+
+    // The footer is verified before the body is interpreted: corrupt
+    // files fail with a checksum diagnostic rather than a confusing
+    // parse error deep in the body. Parsing stops at 'end', so it never
+    // reads the footer.
+    const std::string marker = "\nchecksum ";
+    const auto pos = text.rfind(marker);
+    if (pos == std::string::npos) {
+        mtperf_fatal("corrupt model ", source,
+                     ": missing checksum footer (truncated file?)");
+    }
+    std::uint32_t stored = 0;
+    if (!parseCrc32Hex(trim(text.substr(pos + marker.size())), stored)) {
+        mtperf_fatal("corrupt model ", source,
+                     ": malformed checksum footer");
+    }
+    const std::uint32_t actual =
+        crc32(std::string_view(text).substr(0, pos + 1));
+    if (stored != actual) {
+        mtperf_fatal("corrupt model ", source,
+                     ": checksum mismatch (footer says ",
+                     crc32Hex(stored), ", content hashes to ",
+                     crc32Hex(actual), ")");
+    }
+
     expect("target");
     std::string target;
     if (!(in >> target))
@@ -819,14 +628,14 @@ M5Prime::load(std::istream &is, const std::string &source)
         const std::string &source;
         std::size_t n_attrs;
 
-        std::unique_ptr<Node>
+        std::unique_ptr<TreeNode>
         readNode()
         {
             std::string keyword, kind;
             if (!(is >> keyword >> kind) || keyword != "node")
                 mtperf_fatal("malformed model ", source,
                              ": expected a node");
-            auto node = std::make_unique<Node>();
+            auto node = std::make_unique<TreeNode>();
             if (kind == "s") {
                 if (!(is >> node->splitAttr >> node->splitValue >>
                       node->count >> node->meanTarget >>

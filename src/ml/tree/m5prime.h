@@ -23,6 +23,9 @@
  *     p' = (n p + k q) / (n + k) with k = 15, compiled into the leaf
  *     coefficients so the printed models are exactly what predicts.
  *
+ * Steps 1 and 3 run through the grower and prune walk the CART
+ * baseline shares (split_search.h); this class owns steps 2 and 4.
+ *
  * The class exposes the full structure — leaves, their linear models,
  * split paths, and per-leaf training coverage — because the paper's
  * analysis ("what" limits performance, "how much" is recoverable)
@@ -46,6 +49,7 @@
 namespace mtperf {
 
 class FlatTree;
+struct TreeNode;
 
 /** Tunable knobs for M5' construction. */
 struct M5Options
@@ -208,9 +212,9 @@ class M5Prime : public Regressor
     void saveFile(const std::string &path) const;
 
     /**
-     * Reconstruct a fitted tree from save() output (v1 or v2). The
-     * loaded tree predicts identically to the saved one. For v2 input
-     * the checksum footer is verified before any parsing.
+     * Reconstruct a fitted tree from save() output. The loaded tree
+     * predicts identically to the saved one. Only format v2 loads: its
+     * checksum footer is verified before the body is parsed.
      * @throw FatalError on malformed or corrupt input, naming
      * @p source (defaults to "<stream>") and the cause.
      */
@@ -225,36 +229,25 @@ class M5Prime : public Regressor
     ///@}
 
   private:
-    struct Node;
-    struct GrowCtx;  //!< presorted split-search state (see m5prime.cc)
     struct BuildCtx; //!< path-attribute bookkeeping for buildModels
 
     /** Serialize everything but the checksum footer. */
     void writeBody(std::ostream &os) const;
 
     /**
-     * Grow the subtree at @p node over @p rows, which also occupy
-     * range [lo, hi) of every presorted column in @p ctx.
+     * Fit every model under @p node.
+     * @return the attributes split on in @p node's subtree, ascending.
      */
-    void growNode(Node &node, std::vector<std::size_t> &rows,
-                  std::size_t lo, std::size_t hi, std::size_t depth,
-                  GrowCtx &ctx);
-    /** Raw residual and parameter count of a (sub)tree, for pruning. */
-    struct SubtreeCost
-    {
-        double rawMae = 0.0;
-        std::size_t parameters = 0;
-    };
-
-    void buildModels(Node &node, BuildCtx &ctx);
+    std::vector<std::size_t> buildModels(TreeNode &node, BuildCtx &ctx);
     /**
      * Fit (and optionally simplify) one node's model over @p attrs
      * through the Gram-cached fitter, caching its MAE for pruning.
      */
-    void fitNodeModel(Node &node, std::vector<std::size_t> attrs);
-    SubtreeCost pruneNode(std::unique_ptr<Node> &node_ptr);
-    void smoothLeaves(Node &node, std::vector<const Node *> &ancestors);
-    void collectLeaves(Node &node, std::vector<PathStep> &path);
+    void fitNodeModel(const Dataset &ds, TreeNode &node,
+                      std::vector<std::size_t> attrs);
+    void smoothLeaves(TreeNode &node,
+                      std::vector<const TreeNode *> &ancestors);
+    void collectLeaves(TreeNode &node, std::vector<PathStep> &path);
     /** Recompute the cached splitAttributes() answer from leaves_. */
     void refreshSplitAttributes();
     /** Compile root_ into flat_ (after fit() and load()). */
@@ -262,12 +255,10 @@ class M5Prime : public Regressor
 
     M5Options options_;
     Schema schema_;
-    std::unique_ptr<Node> root_;
-    const Dataset *trainData_ = nullptr; //!< valid only during fit()
-    double rootSd_ = 0.0;
+    std::unique_ptr<TreeNode> root_;
     std::size_t trainSize_ = 0;
     std::vector<LeafInfo> leaves_;
-    std::vector<const Node *> leafNodes_;
+    std::vector<const TreeNode *> leafNodes_;
     std::vector<std::size_t> splitAttributes_; //!< sorted, de-duplicated
     std::unique_ptr<FlatTree> flat_; //!< batch-inference compilation
 };

@@ -4,9 +4,10 @@
  *
  * The paper contrasts model trees with classical regression trees
  * (Breiman et al. 1984), which predict a constant at each leaf. This
- * implementation grows by variance reduction and prunes bottom-up
- * with the same pessimistic error estimate M5 uses, so the comparison
- * isolates exactly the leaf-model difference.
+ * tree grows and prunes through the same routines as M5'
+ * (split_search.h): every node's model is the constant mean of its
+ * rows, pruned under the same pessimistic error estimate, so the
+ * comparison isolates exactly the leaf-model difference.
  */
 
 #ifndef MTPERF_ML_TREE_REGRESSION_TREE_H_
@@ -20,6 +21,8 @@
 #include "ml/regressor.h"
 
 namespace mtperf {
+
+struct TreeNode;
 
 /** Tunables for the CART baseline. */
 struct RegressionTreeOptions
@@ -56,25 +59,8 @@ class RegressionTree : public Regressor
     std::size_t numLeaves() const;
 
   private:
-    struct Node;
-    struct GrowCtx; //!< presorted split-search state (regression_tree.cc)
-
-    /** Raw residual and parameter count of a (sub)tree, for pruning. */
-    struct SubtreeCost
-    {
-        double rawMae = 0.0;
-        std::size_t parameters = 0;
-    };
-
-    void growNode(Node &node, std::vector<std::size_t> &rows,
-                  std::size_t lo, std::size_t hi, std::size_t depth,
-                  GrowCtx &ctx);
-    SubtreeCost pruneNode(Node &node);
-
     RegressionTreeOptions options_;
-    std::unique_ptr<Node> root_;
-    const Dataset *trainData_ = nullptr;
-    double rootSd_ = 0.0;
+    std::unique_ptr<TreeNode> root_;
 };
 
 } // namespace mtperf

@@ -4,8 +4,11 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace mtperf {
 
@@ -200,6 +203,8 @@ PresortedColumns::build(const Dataset &ds)
                   "presorted split search caps at 2^32 rows");
 
     goesLeft_.assign(n, 0);
+    ids_.resize(n);
+    std::iota(ids_.begin(), ids_.end(), 0u);
     scratch_.resize(n);
     keys_.resize(n);
     targets_.resize(n);
@@ -247,10 +252,10 @@ PresortedColumns::partition(const Dataset &ds, std::size_t lo,
 {
     mtperf_assert(built() && hi <= size() && lo <= hi,
                   "partition over an invalid presorted range");
-    // Mark membership once; each column is then split by a stable
-    // two-way pass (left rows compact in place, right rows spill to
-    // the scratch buffer and copy back), preserving the (value, row)
-    // order inside both halves.
+    // Mark membership once; each column, and the row-id column, is
+    // then split by a stable two-way pass (left rows compact in place,
+    // right rows spill to the scratch buffer and copy back), preserving
+    // the (value, row) order inside both halves.
     const std::size_t d = cols_.size();
     const double *flat = ds.flatValues().data();
     std::size_t n_left = 0;
@@ -260,7 +265,7 @@ PresortedColumns::partition(const Dataset &ds, std::size_t lo,
         goesLeft_[r] = left ? 1 : 0;
         n_left += left ? 1 : 0;
     }
-    for (auto &col : cols_) {
+    const auto split = [&](std::vector<std::uint32_t> &col) {
         std::size_t out = lo;
         std::size_t spilled = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -274,8 +279,194 @@ PresortedColumns::partition(const Dataset &ds, std::size_t lo,
                   scratch_.begin() +
                       static_cast<std::ptrdiff_t>(spilled),
                   col.begin() + static_cast<std::ptrdiff_t>(out));
-    }
+    };
+    for (auto &col : cols_)
+        split(col);
+    split(ids_);
     return lo + n_left;
+}
+
+namespace {
+
+/** Mean and population standard deviation of targets over @p rows. */
+void
+targetStats(const Dataset &ds, std::span<const std::size_t> rows,
+            double &mean_out, double &sd_out)
+{
+    const double *tgt = ds.targets().data();
+    double sum = 0.0, sq = 0.0;
+    for (std::size_t r : rows) {
+        sum += tgt[r];
+        sq += tgt[r] * tgt[r];
+    }
+    const auto n = static_cast<double>(rows.size());
+    mean_out = rows.empty() ? 0.0 : sum / n;
+    const double var = rows.empty() ? 0.0 : std::max(0.0, sq / n -
+                                                     mean_out * mean_out);
+    sd_out = std::sqrt(var);
+}
+
+/** State of one growTree() call. */
+struct Grower
+{
+    const Dataset &ds;
+    const GrowLimits &limits;
+    double rootSd = 0.0;
+    PresortedColumns cols{};
+
+    /**
+     * Grow the subtree at @p node, whose rows occupy range [lo, hi) of
+     * every presorted column.
+     */
+    void
+    grow(TreeNode &node, std::size_t lo, std::size_t hi, std::size_t depth)
+    {
+        node.count = node.rows.size();
+        targetStats(ds, node.rows, node.meanTarget, node.sdTarget);
+        if (depth == 0)
+            rootSd = node.sdTarget;
+
+        const bool too_small = node.count < 2 * limits.minInstances ||
+                               node.count < 4;
+        const bool pure = node.sdTarget < limits.sdFraction * rootSd;
+        const bool too_deep =
+            limits.maxDepth != 0 && depth >= limits.maxDepth;
+        if (too_small || pure || too_deep)
+            return;
+
+        // Each feature column is sorted once (lazily, at the root — the
+        // first node to search) and stably partitioned down the tree,
+        // so every non-root search is a plain O(d * n) scan.
+        // tree.sort_elided counts the per-attribute sorts the old
+        // per-node algorithm would have run.
+        static obs::Counter &sortElided = obs::counter("tree.sort_elided");
+        if (!cols.built()) {
+            obs::ScopedSpan span("tree", "tree.presort");
+            cols.build(ds);
+        } else {
+            sortElided.add(ds.numAttributes());
+        }
+        const SplitChoice best =
+            cols.bestSplit(ds, lo, hi, limits.minInstances);
+        if (!best.valid)
+            return;
+
+        node.leaf = false;
+        node.splitAttr = best.attr;
+        node.splitValue = best.value;
+        const std::size_t mid =
+            cols.partition(ds, lo, hi, best.attr, best.value);
+        mtperf_assert(lo < mid && mid < hi, "degenerate split");
+
+        // The right range is untouched until its own turn, so each
+        // child copies its rows just before it grows.
+        const auto child = [&](std::unique_ptr<TreeNode> &slot,
+                               std::size_t from, std::size_t to) {
+            slot = std::make_unique<TreeNode>();
+            const auto rows = cols.rows(from, to);
+            slot->rows.assign(rows.begin(), rows.end());
+            grow(*slot, from, to, depth + 1);
+        };
+        child(node.left, lo, mid);
+        child(node.right, mid, hi);
+    }
+};
+
+/** Raw residual and parameter count of a (sub)tree, for pruning. */
+struct SubtreeCost
+{
+    double rawMae = 0.0;
+    std::size_t parameters = 0;
+};
+
+SubtreeCost
+pruneSubtree(TreeNode &node)
+{
+    const SubtreeCost own{node.modelMae, node.model.numParameters()};
+    if (node.leaf)
+        return own;
+
+    const SubtreeCost left = pruneSubtree(*node.left);
+    const SubtreeCost right = pruneSubtree(*node.right);
+    const auto nl = static_cast<double>(node.left->count);
+    const auto nr = static_cast<double>(node.right->count);
+
+    SubtreeCost subtree;
+    subtree.rawMae = (nl * left.rawMae + nr * right.rawMae) / (nl + nr);
+    subtree.parameters = left.parameters + right.parameters + 1;
+
+    // Quinlan's pessimistic compensation. Subtrees are charged for
+    // every leaf-model parameter *and* every split threshold below the
+    // node, so deep structure must buy a real residual reduction to
+    // survive.
+    const double subtree_err =
+        compensatedError(subtree.rawMae, node.count, subtree.parameters);
+    const double node_err =
+        compensatedError(own.rawMae, node.count, own.parameters);
+    if (node_err <= subtree_err) {
+        node.leaf = true;
+        node.left.reset();
+        node.right.reset();
+        return own;
+    }
+    return subtree;
+}
+
+} // namespace
+
+void
+checkGrowLimits(const GrowLimits &limits, const std::string &learner)
+{
+    if (limits.minInstances < 1)
+        mtperf_fatal(learner, ": minInstances must be >= 1");
+    if (!std::isfinite(limits.sdFraction) || limits.sdFraction < 0.0)
+        mtperf_fatal(learner, ": sdFraction must be finite and >= 0");
+}
+
+std::unique_ptr<TreeNode>
+growTree(const Dataset &ds, const GrowLimits &limits)
+{
+    auto root = std::make_unique<TreeNode>();
+    root->rows.resize(ds.size());
+    std::iota(root->rows.begin(), root->rows.end(), 0);
+    Grower{.ds = ds, .limits = limits}.grow(*root, 0, ds.size(), 0);
+    return root;
+}
+
+void
+pruneTree(TreeNode &root)
+{
+    pruneSubtree(root);
+}
+
+const TreeNode &
+leafFor(const TreeNode &root, std::span<const double> row)
+{
+    const TreeNode *node = &root;
+    while (!node->leaf) {
+        node = row[node->splitAttr] <= node->splitValue ? node->left.get()
+                                                        : node->right.get();
+    }
+    return *node;
+}
+
+std::size_t
+countLeaves(const TreeNode &root)
+{
+    if (root.leaf)
+        return 1;
+    return countLeaves(*root.left) + countLeaves(*root.right);
+}
+
+void
+releaseRows(TreeNode &root)
+{
+    root.rows.clear();
+    root.rows.shrink_to_fit();
+    if (root.leaf)
+        return;
+    releaseRows(*root.left);
+    releaseRows(*root.right);
 }
 
 } // namespace mtperf

@@ -4,6 +4,7 @@
  */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -313,6 +314,19 @@ TEST(M5Prime, InvalidOptionsThrow)
     M5Options bad_k;
     bad_k.smoothingK = -1.0;
     EXPECT_THROW(M5Prime{bad_k}, FatalError);
+
+    // Non-finite values fail every ordered comparison, so they need
+    // their own rejection.
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double bad : {inf, -inf, nan}) {
+        M5Options bad_sd_value;
+        bad_sd_value.sdFraction = bad;
+        EXPECT_THROW(M5Prime{bad_sd_value}, FatalError) << bad;
+        M5Options bad_k_value;
+        bad_k_value.smoothingK = bad;
+        EXPECT_THROW(M5Prime{bad_k_value}, FatalError) << bad;
+    }
 }
 
 TEST(M5Prime, RefitReplacesPreviousTree)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/checksum.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -36,6 +37,30 @@ piecewiseDataset(std::size_t n, std::uint64_t seed = 31)
     }
     return ds;
 }
+
+/** @p body followed by the checksum footer save() writes. */
+std::string
+sealed(const std::string &body)
+{
+    return body + "checksum " + crc32Hex(crc32(body)) + "\n";
+}
+
+/** The error load() raises on @p text, or "" when it loads. */
+std::string
+loadError(const std::string &text)
+{
+    std::istringstream in(text);
+    try {
+        M5Prime::load(in, "<fixture>");
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** Body lines of a one-attribute model, up to its first node. */
+const std::string kHeader = "m5prime-model v2\ntarget y\nattributes 1\n"
+                            "a x\ntrainSize 5\noptions 4 0.05 1 1 15 1 0\n";
 
 M5Prime
 fittedTree(const Dataset &ds)
@@ -151,30 +176,30 @@ TEST(M5PrimeIo, SingleLeafTreeRoundTrips)
 
 TEST(M5PrimeIo, MalformedInputsThrow)
 {
-    auto load_text = [](const std::string &text) {
-        std::istringstream in(text);
-        return M5Prime::load(in);
+    // The parser fixtures are sealed, so each passes the footer check
+    // and reaches the error it targets.
+    const auto expect_error = [](const std::string &text,
+                                 const std::string &cause) {
+        const std::string what = loadError(text);
+        EXPECT_NE(what.find(cause), std::string::npos)
+            << "want '" << cause << "', got '" << what << "'";
+        EXPECT_NE(what.find("<fixture>"), std::string::npos) << what;
     };
-    EXPECT_THROW(load_text(""), FatalError);
-    EXPECT_THROW(load_text("not-a-model v1"), FatalError);
-    EXPECT_THROW(load_text("m5prime-model v1\ntarget y\n"), FatalError);
-    EXPECT_THROW(
-        load_text("m5prime-model v1\ntarget y\nattributes 1\na x\n"
-                  "trainSize 5\noptions 4 0.05 1 1 15 1 0\n"
-                  "node z\nend\n"),
-        FatalError);
+    expect_error("", "expected 'm5prime-model'");
+    expect_error("not-a-model v2", "got 'not-a-model'");
+    expect_error(sealed("m5prime-model v2\ntarget y\n"),
+                 "expected 'attributes'");
+    expect_error(sealed(kHeader + "node z\nend\n"),
+                 "unknown node kind 'z'");
     // Attribute index out of range in a leaf model term.
-    EXPECT_THROW(
-        load_text("m5prime-model v1\ntarget y\nattributes 1\na x\n"
-                  "trainSize 5\noptions 4 0.05 1 1 15 1 0\n"
-                  "node l 5 1.0 0.1 2.0 1 7 3.5\nend\n"),
-        FatalError);
+    expect_error(sealed(kHeader + "node l 5 1.0 0.1 2.0 1 7 3.5\nend\n"),
+                 "references attribute 7 out of range");
     // Missing trailing 'end'.
-    EXPECT_THROW(
-        load_text("m5prime-model v1\ntarget y\nattributes 1\na x\n"
-                  "trainSize 5\noptions 4 0.05 1 1 15 1 0\n"
-                  "node l 5 1.0 0.1 2.0 0\n"),
-        FatalError);
+    expect_error(sealed(kHeader + "node l 5 1.0 0.1 2.0 0\n"),
+                 "missing 'end'");
+    // The same body without its footer.
+    expect_error(kHeader + "node l 5 1.0 0.1 2.0 0\nend\n",
+                 "missing checksum footer");
 }
 
 TEST(M5PrimeIo, LoadFileMissingThrows)
@@ -251,26 +276,37 @@ TEST(M5PrimeIo, ModelCorpusDetectsOrLoadsIdentically)
         /*stride=*/3);
 }
 
-TEST(M5PrimeIo, V1ModelTextWithoutChecksumStillLoads)
+TEST(M5PrimeIo, V1ModelTextIsRejected)
 {
-    // Pre-checksum model files carry no footer; they must keep
-    // loading so existing artifacts are not orphaned.
-    std::istringstream in(
-        "m5prime-model v1\ntarget y\nattributes 1\na x\n"
-        "trainSize 5\noptions 4 0.05 1 1 15 1 0\n"
-        "node l 5 1.0 0.1 2.0 0\nend\n");
-    const M5Prime loaded = M5Prime::load(in, "<v1-fixture>");
-    EXPECT_EQ(loaded.numLeaves(), 1u);
-    EXPECT_DOUBLE_EQ(loaded.predict(std::vector<double>{0.0}), 2.0);
+    // Format v1 had no checksum footer, and nothing writes it. Loading
+    // it would trust an unverified body, so v1 is refused outright.
+    const auto expect_rejected = [](const std::string &text) {
+        const std::string what = loadError(text);
+        EXPECT_NE(what.find("unsupported format version 'v1'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("<fixture>"), std::string::npos) << what;
+    };
+    expect_rejected("m5prime-model v1\ntarget y\nattributes 1\na x\n"
+                    "trainSize 5\noptions 4 0.05 1 1 15 1 0\n"
+                    "node l 5 1.0 0.1 2.0 0\nend\n");
+
+    // A sealed model relabelled v1. Its footer follows 'end', where a
+    // v1 parse never looked, so any edit to its body loaded unchecked.
+    std::ostringstream os;
+    fittedTree(piecewiseDataset(500)).save(os);
+    std::string relabelled = os.str();
+    const std::string v2 = "m5prime-model v2\n";
+    ASSERT_EQ(relabelled.rfind(v2, 0), 0u);
+    relabelled.replace(0, v2.size(), "m5prime-model v1\n");
+    expect_rejected(relabelled);
 }
 
 TEST(M5PrimeIo, NonFiniteCoefficientsRejectedOnLoad)
 {
-    std::istringstream in(
-        "m5prime-model v1\ntarget y\nattributes 1\na x\n"
-        "trainSize 5\noptions 4 0.05 1 1 15 1 0\n"
-        "node l 5 1.0 0.1 nan 0\nend\n");
-    EXPECT_THROW(M5Prime::load(in, "<bad-fixture>"), FatalError);
+    const std::string what =
+        loadError(sealed(kHeader + "node l 5 1.0 0.1 nan 0\nend\n"));
+    EXPECT_NE(what.find("leaf"), std::string::npos) << what;
 }
 
 } // namespace

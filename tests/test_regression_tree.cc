@@ -3,6 +3,7 @@
  * Tests for the CART-style regression tree baseline.
  */
 
+#include <limits>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -140,6 +141,13 @@ TEST(RegressionTree, InvalidOptionsThrow)
     RegressionTreeOptions o;
     o.minInstances = 0;
     EXPECT_THROW(RegressionTree{o}, FatalError);
+
+    for (double bad : {-1.0, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+        RegressionTreeOptions bad_sd;
+        bad_sd.sdFraction = bad;
+        EXPECT_THROW(RegressionTree{bad_sd}, FatalError) << bad;
+    }
 }
 
 } // namespace

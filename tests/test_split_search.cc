@@ -85,7 +85,8 @@ signedDataset(std::uint64_t seed, std::size_t rows)
 /**
  * Walk a simulated tree: at every node compare the presorted search
  * against the brute-force reference over the same row set, then
- * recurse on the winning split, partitioning both representations.
+ * recurse on the winning split, partitioning both representations;
+ * the presorted row-id ranges must hold exactly the value-tested rows.
  */
 void
 compareRecursively(const Dataset &ds, PresortedColumns &cols,
@@ -123,6 +124,14 @@ compareRecursively(const Dataset &ds, PresortedColumns &cols,
     const std::size_t mid =
         cols.partition(ds, lo, hi, fast.attr, fast.value);
     ASSERT_EQ(mid - lo, left.size());
+    const auto left_ids = cols.rows(lo, mid);
+    const auto right_ids = cols.rows(mid, hi);
+    ASSERT_TRUE(std::equal(left_ids.begin(), left_ids.end(), left.begin(),
+                           left.end()))
+        << "left rows diverged at depth " << depth;
+    ASSERT_TRUE(std::equal(right_ids.begin(), right_ids.end(),
+                           right.begin(), right.end()))
+        << "right rows diverged at depth " << depth;
 
     compareRecursively(ds, cols, std::move(left), lo, mid,
                        min_instances, depth + 1, nodes_checked);
