@@ -3,9 +3,10 @@
  * Golden pins of the tree learners' output bytes: a fixed dataset's
  * saved M5' model and its 10-fold out-of-fold predictions, for
  * m5prime, bagged-m5, m5rules and the CART baseline (pruned and
- * unpruned), at one and four threads. Any change to these CRCs moves
- * every model and prediction downstream and must be a deliberate
- * re-baseline.
+ * unpruned), and a larger dataset's saved M5' model and in-sample
+ * cart and m5rules predictions, at one and four threads. Any change to
+ * these CRCs moves every model and prediction downstream and must be a
+ * deliberate re-baseline.
  */
 
 #include <sstream>
@@ -14,40 +15,13 @@
 
 #include "common/checksum.h"
 #include "common/parallel.h"
-#include "common/rng.h"
 #include "ml/eval/cross_validation.h"
+#include "ml/registry.h"
+#include "golden_datasets.h"
 #include "ml/tree/m5prime.h"
 
 namespace mtperf {
 namespace {
-
-/**
- * Counter-like rows with the two degeneracies of the suite CSV.
- * "l2m_dup" copies "l2m" in every row, as DtlbLdReM copies DtlbLdM, so
- * every split on "l2m" ties with one on its copy. "fp" is an event most
- * rows never fire: on the side of an "fp" split that holds those rows
- * the column is all zero, so every fit there that regresses on it
- * meets a singular Gram system and takes the ridge branch.
- */
-Dataset
-goldenDataset()
-{
-    Dataset ds(Schema(
-        std::vector<std::string>{"l2m", "l2m_dup", "itlb", "fp", "noise"},
-        "CPI"));
-    Rng rng(2007);
-    for (std::size_t i = 0; i < 900; ++i) {
-        const double l2m = rng.uniform(0.0, 0.02);
-        const double itlb = rng.uniform(0.0, 0.004);
-        const double fp = rng.chance(0.4) ? rng.uniform(0.1, 0.3) : 0.0;
-        const double noise = rng.normal();
-        const double knee = l2m > 0.008 ? 90.0 * (l2m - 0.008) : 0.0;
-        const double cpi = 0.55 + 30.0 * l2m + knee + 140.0 * itlb +
-                           2.5 * fp + rng.normal(0.0, 0.05);
-        ds.addRow(std::vector<double>{l2m, l2m, itlb, fp, noise}, cpi);
-    }
-    return ds;
-}
 
 std::uint32_t
 predictionsCrc(const std::vector<double> &predictions)
@@ -109,6 +83,51 @@ TEST_P(M5GoldenTest, UnprunedCartOutOfFoldPredictionsArePinned)
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, M5GoldenTest, testing::Values(1u, 4u));
+
+/**
+ * The same pins on largeGoldenDataset(), a fit large enough that its
+ * presort, split searches, partitions and node models run on the pool
+ * at four threads. The learners are fit on the whole dataset, outside
+ * any pool task, so nothing forces them inline.
+ */
+class M5LargeGoldenTest : public M5GoldenTest
+{
+  protected:
+    /** CRC of @p spec's in-sample predictions on the large dataset. */
+    static std::uint32_t
+    inSampleCrc(const std::string &spec)
+    {
+        const Dataset ds = largeGoldenDataset();
+        auto learner = RegressorFactory::create(spec);
+        learner->fit(ds);
+        return predictionsCrc(learner->predictAll(ds));
+    }
+};
+
+TEST_P(M5LargeGoldenTest, SavedModelBytesArePinned)
+{
+    M5Options options;
+    options.minInstances = 100;
+    M5Prime tree(options);
+    tree.fit(largeGoldenDataset());
+    std::ostringstream os;
+    tree.save(os);
+    EXPECT_EQ(tree.numLeaves(), 16u);
+    EXPECT_EQ(crc32(os.str()), 0xb9a4c22cu);
+}
+
+TEST_P(M5LargeGoldenTest, CartInSamplePredictionsArePinned)
+{
+    EXPECT_EQ(inSampleCrc("cart"), 0x8843af3au);
+}
+
+TEST_P(M5LargeGoldenTest, M5RulesInSamplePredictionsArePinned)
+{
+    EXPECT_EQ(inSampleCrc("m5rules:min-instances=30"), 0x78dcc192u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, M5LargeGoldenTest,
+                         testing::Values(1u, 4u));
 
 } // namespace
 } // namespace mtperf

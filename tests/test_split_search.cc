@@ -19,8 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/dataset.h"
+#include "golden_datasets.h"
 #include "ml/tree/m5prime.h"
 #include "ml/tree/split_search.h"
 #include "obs/metrics.h"
@@ -139,24 +141,46 @@ compareRecursively(const Dataset &ds, PresortedColumns &cols,
                        min_instances, depth + 1, nodes_checked);
 }
 
+/** Run compareRecursively() from the root of @p ds. */
+void
+compareDownTheTree(const Dataset &ds, std::size_t min_instances,
+                   const std::string &label)
+{
+    PresortedColumns cols;
+    cols.build(ds);
+    std::vector<std::size_t> rows(ds.size());
+    std::iota(rows.begin(), rows.end(), 0);
+    int nodes_checked = 0;
+    compareRecursively(ds, cols, std::move(rows), 0, ds.size(),
+                       min_instances, 0, &nodes_checked);
+    // The descent must actually have exercised several nodes.
+    EXPECT_GT(nodes_checked, 3) << label;
+}
+
+/** Sizes the global pool for one scope. */
+struct PoolThreads
+{
+    explicit PoolThreads(std::size_t n) { setGlobalThreadCount(n); }
+    ~PoolThreads() { setGlobalThreadCount(0); }
+    PoolThreads(const PoolThreads &) = delete;
+    PoolThreads &operator=(const PoolThreads &) = delete;
+};
+
 TEST(SplitSearch, PresortedMatchesBruteForceDownTheTree)
 {
     for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL, 5ULL}) {
         for (const Dataset &ds :
              {awkwardDataset(seed, 400, 6), signedDataset(seed, 400)}) {
-            PresortedColumns cols;
-            cols.build(ds);
-            std::vector<std::size_t> rows(ds.size());
-            std::iota(rows.begin(), rows.end(), 0);
-            int nodes_checked = 0;
-            compareRecursively(ds, cols, std::move(rows), 0, ds.size(), 5,
-                               0, &nodes_checked);
-            // The descent must actually have exercised several nodes.
-            EXPECT_GT(nodes_checked, 3)
-                << "seed " << seed << ", " << ds.numAttributes()
-                << " attributes";
+            compareDownTheTree(ds, 5,
+                               "seed " + std::to_string(seed) + ", " +
+                                   std::to_string(ds.numAttributes()) +
+                                   " attributes");
         }
     }
+    // A fit this large runs its presort, searches and partitions on a
+    // pool of more than one thread.
+    const PoolThreads threads(4);
+    compareDownTheTree(largeGoldenDataset(), 100, "large golden dataset");
 }
 
 /**
