@@ -3,7 +3,8 @@
  * The shared concurrency layer: a fixed-size thread pool.
  *
  * Every independent loop in the pipeline (suite simulation, CV folds,
- * ensemble bags, leave-one-workload-out rounds) runs through one
+ * ensemble bags, leave-one-workload-out rounds, the phases of one
+ * large tree fit) runs through one
  * process-wide pool so thread creation is paid once and oversubscription
  * cannot happen. The contract that makes this safe to sprinkle through
  * the codebase:
@@ -23,6 +24,9 @@
  *  - The first exception a body throws is rethrown on the caller once
  *    the loop has drained; unlike the serial path, remaining indices
  *    still run (the loop always completes before rethrowing).
+ *  - A worker that runs out of work polls the queue for 200 us before
+ *    it sleeps, so loops issued back to back (the phases of one tree
+ *    fit) keep their workers instead of waiting for them to wake.
  *
  * The global pool is sized by setGlobalThreadCount() (the CLI's
  * --threads flag) or the MTPERF_THREADS environment variable, falling
@@ -32,6 +36,7 @@
 #ifndef MTPERF_COMMON_PARALLEL_H_
 #define MTPERF_COMMON_PARALLEL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -82,6 +87,8 @@ class ThreadPool
     std::size_t threads_;
     std::vector<std::thread> workers_;
     std::deque<std::shared_ptr<Job>> pending_;
+    /** pending_.size(), which idle workers poll without the mutex. */
+    std::atomic<std::size_t> queued_{0};
     std::mutex mutex_;
     std::condition_variable wake_;
     bool stop_ = false;

@@ -10,6 +10,7 @@ BaggedM5::BaggedM5(BaggedM5Options options) : options_(std::move(options))
 {
     if (options_.bags == 0)
         mtperf_fatal("BaggedM5: need at least one bag");
+    checkM5Options(options_.treeOptions, "BaggedM5");
 }
 
 void

@@ -52,6 +52,15 @@ struct M5Prime::BuildCtx
     std::size_t pathDepth = 0;
     /** Per-node presence scratch for building attribute lists. */
     std::vector<std::uint8_t> present;
+
+    /** One node's model fit, with the attributes it may regress on. */
+    struct ModelFit
+    {
+        TreeNode *node = nullptr;
+        std::vector<std::size_t> attrs;
+    };
+    /** Every node's fit, in the order the walk reached the node. */
+    std::vector<ModelFit> fits;
 };
 
 namespace {
@@ -67,11 +76,17 @@ growLimits(const M5Options &options)
 
 } // namespace
 
+void
+checkM5Options(const M5Options &options, const std::string &learner)
+{
+    checkGrowLimits(growLimits(options), learner);
+    if (!std::isfinite(options.smoothingK) || options.smoothingK < 0.0)
+        mtperf_fatal(learner, ": smoothingK must be finite and >= 0");
+}
+
 M5Prime::M5Prime(M5Options options) : options_(std::move(options))
 {
-    checkGrowLimits(growLimits(options_), "M5Prime");
-    if (!std::isfinite(options_.smoothingK) || options_.smoothingK < 0.0)
-        mtperf_fatal("M5Prime: smoothingK must be finite and >= 0");
+    checkM5Options(options_, "M5Prime");
 }
 
 M5Prime::~M5Prime() = default;
@@ -100,8 +115,10 @@ M5Prime::fit(const Dataset &train)
         const std::size_t d = train.numAttributes();
         BuildCtx ctx{.ds = train,
                      .pathCount = std::vector<std::uint32_t>(d),
-                     .present = std::vector<std::uint8_t>(d)};
+                     .present = std::vector<std::uint8_t>(d),
+                     .fits = {}};
         buildModels(*root_, ctx);
+        fitNodeModels(ctx);
         // buildModels fits one linear model per node (interior nodes
         // need one for pruning's subtree-error comparison).
         obs::counter("tree.model_fits").add(grown_nodes);
@@ -132,7 +149,7 @@ M5Prime::fit(const Dataset &train)
 
 void
 M5Prime::fitNodeModel(const Dataset &ds, TreeNode &node,
-                      std::vector<std::size_t> attrs)
+                      std::vector<std::size_t> attrs) const
 {
     LinearModelFitter fitter(ds, node.rows, std::move(attrs));
     node.model = fitter.fit();
@@ -140,6 +157,28 @@ M5Prime::fitNodeModel(const Dataset &ds, TreeNode &node,
         fitter.simplify(node.model);
     guardFiniteModel(node.model, node.meanTarget);
     node.modelMae = fitter.meanAbsoluteError(node.model);
+}
+
+void
+M5Prime::fitNodeModels(BuildCtx &ctx)
+{
+    const Dataset &ds = ctx.ds;
+    auto &fits = ctx.fits;
+    // Each fit reads the dataset and its node's rows and writes only its
+    // node, so they run in any order on any thread. On the pool the
+    // largest nodes start first, so no long fit starts last.
+    if (treeFitLanes(ds) == 1) {
+        for (auto &fit : fits)
+            fitNodeModel(ds, *fit.node, std::move(fit.attrs));
+        return;
+    }
+    std::stable_sort(fits.begin(), fits.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.node->count > b.node->count;
+                     });
+    globalPool().parallelFor(fits.size(), [&](std::size_t i) {
+        fitNodeModel(ds, *fits[i].node, std::move(fits[i].attrs));
+    });
 }
 
 std::vector<std::size_t>
@@ -167,7 +206,7 @@ M5Prime::buildModels(TreeNode &node, BuildCtx &ctx)
             if (ctx.pathCount[a] > 0)
                 attrs.push_back(a);
         }
-        fitNodeModel(ds, node, std::move(attrs));
+        ctx.fits.push_back({&node, std::move(attrs)});
         return {};
     }
 
@@ -195,7 +234,7 @@ M5Prime::buildModels(TreeNode &node, BuildCtx &ctx)
             fit_attrs.push_back(a);
     }
 
-    fitNodeModel(ds, node, std::move(fit_attrs));
+    ctx.fits.push_back({&node, std::move(fit_attrs)});
     return subtree_attrs;
 }
 
@@ -620,6 +659,7 @@ M5Prime::load(std::istream &is, const std::string &source)
     options.prune = prune != 0;
     options.smooth = smooth != 0;
     options.simplifyModels = simplify != 0;
+    checkM5Options(options, "malformed model " + source);
 
     // Recursive-descent reconstruction of the pre-order node list.
     struct Reader

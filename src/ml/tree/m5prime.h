@@ -83,6 +83,13 @@ struct M5Options
     std::size_t maxDepth = 0;
 };
 
+/**
+ * @throw FatalError naming @p learner unless minInstances >= 1 and
+ * sdFraction and smoothingK are finite and >= 0. Every learner built
+ * on M5' checks its options here when it is constructed.
+ */
+void checkM5Options(const M5Options &options, const std::string &learner);
+
 /** One decision on a root-to-leaf path. */
 struct PathStep
 {
@@ -235,16 +242,20 @@ class M5Prime : public Regressor
     void writeBody(std::ostream &os) const;
 
     /**
-     * Fit every model under @p node.
+     * List in ctx.fits the model fit of every node under @p node with
+     * the attributes it may use (a lone root leaf gets its constant
+     * model here instead).
      * @return the attributes split on in @p node's subtree, ascending.
      */
     std::vector<std::size_t> buildModels(TreeNode &node, BuildCtx &ctx);
+    /** Run every fit buildModels() listed, on the pool when large. */
+    void fitNodeModels(BuildCtx &ctx);
     /**
      * Fit (and optionally simplify) one node's model over @p attrs
      * through the Gram-cached fitter, caching its MAE for pruning.
      */
     void fitNodeModel(const Dataset &ds, TreeNode &node,
-                      std::vector<std::size_t> attrs);
+                      std::vector<std::size_t> attrs) const;
     void smoothLeaves(TreeNode &node,
                       std::vector<const TreeNode *> &ancestors);
     void collectLeaves(TreeNode &node, std::vector<PathStep> &path);

@@ -44,6 +44,7 @@ M5Rule::toString(const Schema &schema, int digits) const
 
 M5Rules::M5Rules(M5RulesOptions options) : options_(std::move(options))
 {
+    checkM5Options(options_.treeOptions, "M5Rules");
 }
 
 void

@@ -2,17 +2,44 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
+#include "common/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mtperf {
 
 namespace {
+
+/** Nodes whose split search fanned out over the pool. */
+obs::Counter &parallelNodes = obs::counter("tree.parallel_nodes");
+
+/**
+ * Call body(lane, i) once for every i in [0, n). With one lane this is
+ * the serial loop on the calling thread. Otherwise min(lanes, n) pool
+ * tasks claim indices in turn, and a task's lane (< lanes) names the
+ * scratch slot only it touches.
+ */
+template <typename Body>
+void
+forEachOnLanes(std::size_t lanes, std::size_t n, const Body &body)
+{
+    if (lanes <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
+            body(0, i);
+        return;
+    }
+    std::atomic<std::size_t> next{0};
+    globalPool().parallelFor(std::min(lanes, n), [&](std::size_t lane) {
+        for (std::size_t i = next++; i < n; i = next++)
+            body(lane, i);
+    });
+}
 
 /**
  * Bits per radix digit: 8 digits of 256 counters. Wider digits take
@@ -194,6 +221,21 @@ bruteForceBestSplit(const Dataset &ds, std::span<const std::size_t> rows,
     return best;
 }
 
+std::size_t
+treeFitLanes(const Dataset &ds)
+{
+    if (ds.size() * ds.numAttributes() < kParallelMinCells ||
+        ThreadPool::inParallelRegion())
+        return 1;
+    return globalThreadCount();
+}
+
+bool
+PresortedColumns::fansOut(std::size_t rows) const
+{
+    return lanes_ > 1 && rows * cols_.size() >= kParallelMinCells;
+}
+
 void
 PresortedColumns::build(const Dataset &ds)
 {
@@ -202,24 +244,61 @@ PresortedColumns::build(const Dataset &ds)
     mtperf_assert(n < (std::size_t{1} << 32),
                   "presorted split search caps at 2^32 rows");
 
+    // Every node is smaller than the root, so a fit whose root does
+    // not fan out never does and keeps a single scratch slot. Every
+    // buffer is allocated here, on the calling thread.
+    lanes_ = std::min(treeFitLanes(ds), d + 1);
     goesLeft_.assign(n, 0);
     ids_.resize(n);
     std::iota(ids_.begin(), ids_.end(), 0u);
-    scratch_.resize(n);
-    keys_.resize(n);
-    targets_.resize(n);
+    scratch_.resize(lanes_ * n);
+    keys_.resize(lanes_ * n);
+    targets_.resize(lanes_ * n);
+    choices_.resize(d);
+    cols_.assign(d, std::vector<std::uint32_t>(n));
 
     // Read the raw row-major block: the key loop runs d * n times, and
     // per-element accessor calls (with their bounds asserts) would
     // dominate it.
     const double *flat = ds.flatValues().data();
-    std::vector<std::uint64_t> keys(n), words(n), spare_words(n);
-    cols_.assign(d, {});
-    for (std::size_t attr = 0; attr < d; ++attr) {
-        cols_[attr].resize(n);
-        sortRows(flat + attr, d, n, keys.data(), words.data(),
-                 spare_words.data(), cols_[attr].data());
+    std::vector<std::uint64_t> keys(lanes_ * n), words(lanes_ * n),
+        spare_words(lanes_ * n);
+    forEachOnLanes(lanes_, d, [&](std::size_t lane, std::size_t attr) {
+        const std::size_t slot = lane * n;
+        sortRows(flat + attr, d, n, keys.data() + slot, words.data() + slot,
+                 spare_words.data() + slot, cols_[attr].data());
+    });
+}
+
+void
+PresortedColumns::gather(const Dataset &ds, std::size_t lo, std::size_t hi,
+                         std::size_t attr, std::size_t lane)
+{
+    const std::size_t d = cols_.size();
+    const double *flat = ds.flatValues().data();
+    const double *tgt = ds.targets().data();
+    const std::uint32_t *col = cols_[attr].data() + lo;
+    double *keys = keys_.data() + lane * size();
+    double *targets = targets_.data() + lane * size();
+    for (std::size_t i = 0; i < hi - lo; ++i) {
+        keys[i] = flat[col[i] * d + attr];
+        targets[i] = tgt[col[i]];
     }
+}
+
+SplitChoice
+PresortedColumns::serialBestSplit(const Dataset &ds, std::size_t lo,
+                                  std::size_t hi,
+                                  std::size_t min_instances)
+{
+    SplitChoice best;
+    const std::size_t n = hi - lo;
+    for (std::size_t attr = 0; attr < cols_.size(); ++attr) {
+        gather(ds, lo, hi, attr, 0);
+        scanSplitCandidates({keys_.data(), n}, {targets_.data(), n}, attr,
+                            min_instances, best);
+    }
+    return best;
 }
 
 SplitChoice
@@ -228,19 +307,36 @@ PresortedColumns::bestSplit(const Dataset &ds, std::size_t lo,
 {
     mtperf_assert(built() && hi <= size() && lo <= hi,
                   "bestSplit over an invalid presorted range");
-    SplitChoice best;
     const std::size_t n = hi - lo;
-    const std::size_t d = cols_.size();
-    const double *flat = ds.flatValues().data();
-    const double *tgt = ds.targets().data();
-    for (std::size_t attr = 0; attr < d; ++attr) {
-        const std::uint32_t *col = cols_[attr].data() + lo;
-        for (std::size_t i = 0; i < n; ++i) {
-            keys_[i] = flat[col[i] * d + attr];
-            targets_[i] = tgt[col[i]];
-        }
-        scanSplitCandidates({keys_.data(), n}, {targets_.data(), n},
-                            attr, min_instances, best);
+    if (!fansOut(n))
+        return serialBestSplit(ds, lo, hi, min_instances);
+
+    parallelNodes.increment();
+    forEachOnLanes(lanes_, cols_.size(),
+                   [&](std::size_t lane, std::size_t attr) {
+        gather(ds, lo, hi, attr, lane);
+        const std::size_t slot = lane * size();
+        SplitChoice &choice = choices_[attr];
+        choice = SplitChoice{};
+        scanSplitCandidates({keys_.data() + slot, n},
+                            {targets_.data() + slot, n}, attr,
+                            min_instances, choice);
+    });
+    // Each attribute's winner is what the serial scan found among that
+    // attribute's candidates, and splitBeats() is a strict total order
+    // on candidates of different attributes, so folding the winners in
+    // ascending attribute order gives the serial answer. A NaN SDR
+    // (only overflowing targets make one) beats nothing but the empty
+    // choice, so the serial answer then depends on which candidate came
+    // first, and only the serial scan knows.
+    SplitChoice best;
+    for (const SplitChoice &choice : choices_) {
+        if (!choice.valid)
+            continue;
+        if (std::isnan(choice.sdr))
+            return serialBestSplit(ds, lo, hi, min_instances);
+        if (splitBeats(best, choice.sdr, choice.attr, choice.value))
+            best = choice;
     }
     return best;
 }
@@ -254,8 +350,8 @@ PresortedColumns::partition(const Dataset &ds, std::size_t lo,
                   "partition over an invalid presorted range");
     // Mark membership once; each column, and the row-id column, is
     // then split by a stable two-way pass (left rows compact in place,
-    // right rows spill to the scratch buffer and copy back), preserving
-    // the (value, row) order inside both halves.
+    // right rows spill to the lane's scratch slot and copy back),
+    // preserving the (value, row) order inside both halves.
     const std::size_t d = cols_.size();
     const double *flat = ds.flatValues().data();
     std::size_t n_left = 0;
@@ -265,7 +361,9 @@ PresortedColumns::partition(const Dataset &ds, std::size_t lo,
         goesLeft_[r] = left ? 1 : 0;
         n_left += left ? 1 : 0;
     }
-    const auto split = [&](std::vector<std::uint32_t> &col) {
+    const auto split = [&](std::size_t lane, std::size_t c) {
+        std::vector<std::uint32_t> &col = c < d ? cols_[c] : ids_;
+        std::uint32_t *spill = scratch_.data() + lane * size();
         std::size_t out = lo;
         std::size_t spilled = 0;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -273,16 +371,12 @@ PresortedColumns::partition(const Dataset &ds, std::size_t lo,
             if (goesLeft_[r])
                 col[out++] = r;
             else
-                scratch_[spilled++] = r;
+                spill[spilled++] = r;
         }
-        std::copy(scratch_.begin(),
-                  scratch_.begin() +
-                      static_cast<std::ptrdiff_t>(spilled),
+        std::copy(spill, spill + spilled,
                   col.begin() + static_cast<std::ptrdiff_t>(out));
     };
-    for (auto &col : cols_)
-        split(col);
-    split(ids_);
+    forEachOnLanes(fansOut(hi - lo) ? lanes_ : 1, d + 1, split);
     return lo + n_left;
 }
 

@@ -44,6 +44,14 @@
  *    lowest threshold (see splitBeats()).
  *  - Every node's rows are in ascending row order, so every sum over
  *    them accumulates in one order.
+ *
+ * One top-level fit runs on the global pool (DESIGN.md §7, §11): the
+ * presort takes one task per column, a node's search one task per
+ * attribute, its partition one task per column, each into its own
+ * slot, and the per-attribute winners are reduced in ascending
+ * attribute order. Any thread count gives the serial answer bit for
+ * bit. A fit inside a pool task (a CV fold, a bag) or on a one-thread
+ * pool runs the serial loops.
  */
 
 #ifndef MTPERF_ML_TREE_SPLIT_SEARCH_H_
@@ -109,6 +117,23 @@ SplitChoice bruteForceBestSplit(const Dataset &ds,
                                 std::size_t min_instances);
 
 /**
+ * Rows x attributes below which a node's split search and partition,
+ * a presort, or a fit's node models stay on the calling thread. Below
+ * it the pool round trip (tens of microseconds, more when workers
+ * sleep) costs more than the d-way split of the work saves; the
+ * measured basis is in DESIGN.md §11.
+ */
+inline constexpr std::size_t kParallelMinCells = 16384;
+
+/**
+ * Pool tasks a fit over @p ds may fan out over: 1 when its rows x
+ * attributes are below kParallelMinCells, inside a pool task (the fit
+ * of a CV fold, a bag or a LOWO round) and on a one-thread pool, where
+ * every phase runs its serial loop; the global pool's size otherwise.
+ */
+std::size_t treeFitLanes(const Dataset &ds);
+
+/**
  * Presorted per-attribute row-index columns over a whole training
  * set, partitioned in place down the tree. Usage:
  *
@@ -122,7 +147,10 @@ SplitChoice bruteForceBestSplit(const Dataset &ds,
  * partition() is stable, so every column stays in (value, row
  * position) order within each child range forever — bestSplit() never
  * sorts again — and the row-id column stays ascending. Not
- * thread-safe; one instance serves one tree fit.
+ * thread-safe; one instance serves one tree fit. build(), and
+ * bestSplit() and partition() over at least kParallelMinCells cells,
+ * fan out over treeFitLanes() pool tasks, each with its own n-row
+ * slot of scratch, and give the serial result.
  */
 class PresortedColumns
 {
@@ -160,12 +188,27 @@ class PresortedColumns
     }
 
   private:
+    /** True when work over @p rows rows of every column fans out. */
+    bool fansOut(std::size_t rows) const;
+
+    /** The serial search: every attribute in order, on lane 0. */
+    SplitChoice serialBestSplit(const Dataset &ds, std::size_t lo,
+                                std::size_t hi,
+                                std::size_t min_instances);
+
+    /** Gather attribute @p attr of range [lo, hi) into @p lane's slot. */
+    void gather(const Dataset &ds, std::size_t lo, std::size_t hi,
+                std::size_t attr, std::size_t lane);
+
     std::vector<std::vector<std::uint32_t>> cols_;
     std::vector<std::uint32_t> ids_;      //!< row ids, ascending per range
     std::vector<std::uint8_t> goesLeft_;  //!< indexed by row id
-    std::vector<std::uint32_t> scratch_;  //!< right-side spill buffer
+    std::size_t lanes_ = 1;               //!< scratch slots, one per task
+    // Scratch, one n-entry slot per lane.
+    std::vector<std::uint32_t> scratch_;  //!< right-side spill buffers
     std::vector<double> keys_;            //!< gathered attribute values
     std::vector<double> targets_;         //!< gathered target values
+    std::vector<SplitChoice> choices_;    //!< per-attribute winners
 };
 
 /**

@@ -3,6 +3,10 @@
  * Tests for the bagged M5' ensemble.
  */
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -115,6 +119,29 @@ TEST(BaggedM5, InvalidOptionsAndInputsThrow)
     BaggedM5Options zero;
     zero.bags = 0;
     EXPECT_THROW(BaggedM5{zero}, FatalError);
+
+    // Tree options are checked when the ensemble is built, not when
+    // its first bag is fit, and the message names the ensemble.
+    const auto expectRejected = [](const BaggedM5Options &options) {
+        try {
+            BaggedM5 ensemble(options);
+            ADD_FAILURE() << "invalid tree options were accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("BaggedM5"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    BaggedM5Options inf_k;
+    inf_k.treeOptions.smoothingK =
+        std::numeric_limits<double>::infinity();
+    expectRejected(inf_k);
+    BaggedM5Options nan_sd;
+    nan_sd.treeOptions.sdFraction = std::nan("");
+    expectRejected(nan_sd);
+    BaggedM5Options no_min;
+    no_min.treeOptions.minInstances = 0;
+    expectRejected(no_min);
 
     Dataset empty(Schema(std::vector<std::string>{"x"}, "y"));
     BaggedM5 ensemble;

@@ -445,6 +445,30 @@ TEST_F(CliCommandTest, NumericValidationExitsWithUsageError)
     EXPECT_NE(many_out.str().find("exceeds"), std::string::npos);
 }
 
+TEST_F(CliCommandTest, TreeOptionsAreCheckedWhenTheLearnerIsBuilt)
+{
+    // Rows too few for min-instances go straight to M5Rules' default
+    // rule and a bag is fit only after the ensemble is built, so both
+    // bad specs must fail before any tree is grown, naming the learner.
+    simulate();
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"m5rules:smoothing-k=inf,min-instances=1000", "M5Rules"},
+        {"m5rules:sd-fraction=nan", "M5Rules"},
+        {"bagged-m5:smoothing-k=inf", "BaggedM5"},
+    };
+    for (const auto &[spec, learner] : bad) {
+        std::ostringstream out;
+        EXPECT_EQ(runCommand("crossval",
+                             {"--data", csv_, "--folds", "5", "--model",
+                              spec},
+                             out),
+                  3)
+            << spec << ": " << out.str();
+        EXPECT_NE(out.str().find(learner), std::string::npos)
+            << spec << ": " << out.str();
+    }
+}
+
 TEST_F(CliCommandTest, ServeValidatesNumericsBeforeLoadingTheModel)
 {
     // Every bad numeric must exit 2 even though the model path does

@@ -19,6 +19,7 @@
 #include "ml/registry.h"
 #include "golden_datasets.h"
 #include "ml/tree/m5prime.h"
+#include "obs/metrics.h"
 
 namespace mtperf {
 namespace {
@@ -88,11 +89,31 @@ INSTANTIATE_TEST_SUITE_P(Threads, M5GoldenTest, testing::Values(1u, 4u));
  * The same pins on largeGoldenDataset(), a fit large enough that its
  * presort, split searches, partitions and node models run on the pool
  * at four threads. The learners are fit on the whole dataset, outside
- * any pool task, so nothing forces them inline.
+ * any pool task, so nothing forces them inline. Each test also checks
+ * that the fanned-out search ran on four threads and not on one.
  */
 class M5LargeGoldenTest : public M5GoldenTest
 {
   protected:
+    void
+    SetUp() override
+    {
+        M5GoldenTest::SetUp();
+        parallelNodesBefore_ = parallelNodes().value();
+    }
+
+    void
+    TearDown() override
+    {
+        const std::uint64_t fanned_out =
+            parallelNodes().value() - parallelNodesBefore_;
+        if (GetParam() == 1)
+            EXPECT_EQ(fanned_out, 0u);
+        else
+            EXPECT_GE(fanned_out, 4u);
+        M5GoldenTest::TearDown();
+    }
+
     /** CRC of @p spec's in-sample predictions on the large dataset. */
     static std::uint32_t
     inSampleCrc(const std::string &spec)
@@ -102,6 +123,15 @@ class M5LargeGoldenTest : public M5GoldenTest
         learner->fit(ds);
         return predictionsCrc(learner->predictAll(ds));
     }
+
+  private:
+    static obs::Counter &
+    parallelNodes()
+    {
+        return obs::counter("tree.parallel_nodes");
+    }
+
+    std::uint64_t parallelNodesBefore_ = 0;
 };
 
 TEST_P(M5LargeGoldenTest, SavedModelBytesArePinned)

@@ -3,6 +3,10 @@
  * Tests for the M5Rules decision-list learner.
  */
 
+#include <cmath>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
@@ -144,6 +148,35 @@ TEST(M5Rules, SmallDatasetBecomesSingleDefaultRule)
     rules.fit(ds);
     EXPECT_EQ(rules.rules().size(), 1u);
     EXPECT_NEAR(rules.predict(std::vector<double>{0.5}), 2.0, 0.2);
+}
+
+TEST(M5Rules, InvalidOptionsThrow)
+{
+    // Checked when the learner is built: a fit whose rows all fall to
+    // the default rule never builds the tree that would reject them.
+    const auto expectRejected = [](const M5RulesOptions &options) {
+        try {
+            M5Rules rules(options);
+            ADD_FAILURE() << "invalid tree options were accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("M5Rules"),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    M5RulesOptions inf_k;
+    inf_k.treeOptions.smoothingK = std::numeric_limits<double>::infinity();
+    inf_k.treeOptions.minInstances = 1000;
+    expectRejected(inf_k);
+    M5RulesOptions nan_sd;
+    nan_sd.treeOptions.sdFraction = std::nan("");
+    expectRejected(nan_sd);
+    M5RulesOptions negative_k;
+    negative_k.treeOptions.smoothingK = -1.0;
+    expectRejected(negative_k);
+    M5RulesOptions no_min;
+    no_min.treeOptions.minInstances = 0;
+    expectRejected(no_min);
 }
 
 TEST(M5Rules, EmptyTrainingThrows)

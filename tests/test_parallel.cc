@@ -6,7 +6,9 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include "common/parallel.h"
 #include "ml/eval/cross_validation.h"
 #include "ml/tree/bagged_m5.h"
+#include "obs/metrics.h"
 #include "perf/section_collector.h"
 #include "workload/runner.h"
 
@@ -98,6 +101,24 @@ TEST(ThreadPool, ParallelMapPreservesIndexOrder)
     ASSERT_EQ(squares.size(), 100u);
     for (std::size_t i = 0; i < squares.size(); ++i)
         EXPECT_EQ(squares[i], i * i);
+}
+
+TEST(ThreadPool, WorkersRecordHowLateTheyJoin)
+{
+    obs::Histogram &joins = obs::histogram("pool.join_micros");
+    ThreadPool pool(4);
+    const std::uint64_t before = joins.snapshot().count();
+    pool.parallelFor(8, [](std::size_t) {});
+    // The loop queued one entry for each of the three workers. A worker
+    // records its join when it dequeues its entry, which can be after
+    // the caller drained the loop alone, so wait (bounded) for all
+    // three.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (joins.snapshot().count() < before + 3 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GE(joins.snapshot().count(), before + 3);
 }
 
 TEST(GlobalPool, SizeFollowsSetGlobalThreadCount)
