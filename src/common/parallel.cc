@@ -40,16 +40,14 @@ obs::Histogram &poolTaskMicros = obs::histogram("pool.task_micros");
 obs::Histogram &poolJoinMicros = obs::histogram("pool.join_micros");
 
 /**
- * How long a worker that finds the queue empty polls it before it
- * blocks on the condition variable. On a shared 4-vCPU VM a blocked
- * worker took milliseconds to wake (pool.join_micros p90 2.8 ms across
- * the loops of one tree fit), longer than the node search it was
- * queued for; a polling one joins within microseconds. Loops issued
- * back to back, like the phases of one fit, so keep their workers,
- * and a pool with no work stops polling after this long. The poll
- * yields every 16th turn: a pure spin once kept a caller that shared
- * its CPU waiting out the whole poll (an empty loop after 2 ms idle
- * took 207-221 us instead of 12).
+ * How long a worker that finds the queue empty polls it, while a
+ * WarmScope is open, before it blocks on the condition variable. On a
+ * shared 4-vCPU VM a blocked worker took milliseconds to wake
+ * (pool.join_micros p90 2.8 ms across the loops of one tree fit),
+ * longer than the node search it was queued for; a polling one joins
+ * within microseconds. The poll yields every 16th turn: a pure spin
+ * once kept a caller that shared its CPU waiting out the whole poll
+ * (an empty loop after 2 ms idle took 207-221 us instead of 12).
  */
 constexpr auto kIdlePoll = std::chrono::microseconds(200);
 
@@ -126,6 +124,7 @@ ThreadPool::workerLoop()
         {
             const auto idle_since = std::chrono::steady_clock::now();
             for (unsigned polls = 1;
+                 warmScopes_.load(std::memory_order_relaxed) > 0 &&
                  queued_.load(std::memory_order_relaxed) == 0 &&
                  std::chrono::steady_clock::now() - idle_since < kIdlePoll;
                  ++polls) {
@@ -226,6 +225,16 @@ bool
 ThreadPool::inParallelRegion()
 {
     return poolTaskDepth > 0;
+}
+
+ThreadPool::WarmScope::WarmScope(ThreadPool &pool) : pool_(pool)
+{
+    pool_.warmScopes_.fetch_add(1, std::memory_order_relaxed);
+}
+
+ThreadPool::WarmScope::~WarmScope()
+{
+    pool_.warmScopes_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 std::size_t

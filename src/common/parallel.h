@@ -24,9 +24,10 @@
  *  - The first exception a body throws is rethrown on the caller once
  *    the loop has drained; unlike the serial path, remaining indices
  *    still run (the loop always completes before rethrowing).
- *  - A worker that runs out of work polls the queue for 200 us before
- *    it sleeps, so loops issued back to back (the phases of one tree
- *    fit) keep their workers instead of waiting for them to wake.
+ *  - A worker that runs out of work sleeps at once, unless a WarmScope
+ *    is open: then it polls the queue for 200 us first, so loops issued
+ *    back to back (the phases of one tree fit) keep their workers
+ *    instead of waiting for them to wake.
  *
  * The global pool is sized by setGlobalThreadCount() (the CLI's
  * --threads flag) or the MTPERF_THREADS environment variable, falling
@@ -78,6 +79,27 @@ class ThreadPool
     /** True when the current thread is executing a pool task. */
     static bool inParallelRegion();
 
+    /**
+     * While one is alive, a worker that runs out of work polls the
+     * queue for up to 200 us before it sleeps, so the next loop of a
+     * run of back-to-back loops finds it awake. Scopes nest. Only a
+     * caller that issues such a run (one tree fit) opens one; every
+     * other pool user keeps workers that sleep as soon as the queue is
+     * empty.
+     */
+    class WarmScope
+    {
+      public:
+        explicit WarmScope(ThreadPool &pool);
+        ~WarmScope();
+
+        WarmScope(const WarmScope &) = delete;
+        WarmScope &operator=(const WarmScope &) = delete;
+
+      private:
+        ThreadPool &pool_;
+    };
+
   private:
     struct Job;
 
@@ -89,6 +111,8 @@ class ThreadPool
     std::deque<std::shared_ptr<Job>> pending_;
     /** pending_.size(), which idle workers poll without the mutex. */
     std::atomic<std::size_t> queued_{0};
+    /** Open WarmScopes; idle workers poll only while it is nonzero. */
+    std::atomic<std::size_t> warmScopes_{0};
     std::mutex mutex_;
     std::condition_variable wake_;
     bool stop_ = false;

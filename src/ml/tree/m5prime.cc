@@ -4,6 +4,7 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -104,6 +105,12 @@ M5Prime::fit(const Dataset &train)
     leaves_.clear();
     leafNodes_.clear();
 
+    // A fit that fans out keeps the pool's workers polling from one
+    // phase to the next, through growth and the node models (DESIGN.md
+    // §7).
+    std::optional<ThreadPool::WarmScope> warm;
+    if (treeFitLanes(train) > 1)
+        warm.emplace(globalPool());
     std::size_t grown_nodes = 0;
     {
         obs::ScopedSpan span("tree", "tree.grow");
@@ -123,6 +130,7 @@ M5Prime::fit(const Dataset &train)
         // need one for pruning's subtree-error comparison).
         obs::counter("tree.model_fits").add(grown_nodes);
     }
+    warm.reset();
     {
         obs::ScopedSpan span("tree", "tree.prune");
         if (options_.prune)

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/logging.h"
 #include "common/parallel.h"
@@ -245,29 +246,36 @@ PresortedColumns::build(const Dataset &ds)
                   "presorted split search caps at 2^32 rows");
 
     // Every node is smaller than the root, so a fit whose root does
-    // not fan out never does and keeps a single scratch slot. Every
-    // buffer is allocated here, on the calling thread.
+    // not fan out never does and keeps a single scratch slot. A presort
+    // or a search runs at most d tasks and a partition d + 1 (the
+    // row-id column too), so each gets only the slots it can use. Every
+    // buffer is allocated here, on the calling thread, the search's
+    // once the presort's is freed.
     lanes_ = std::min(treeFitLanes(ds), d + 1);
+    const std::size_t column_lanes = std::min(lanes_, d);
     goesLeft_.assign(n, 0);
     ids_.resize(n);
     std::iota(ids_.begin(), ids_.end(), 0u);
-    scratch_.resize(lanes_ * n);
-    keys_.resize(lanes_ * n);
-    targets_.resize(lanes_ * n);
-    choices_.resize(d);
     cols_.assign(d, std::vector<std::uint32_t>(n));
-
-    // Read the raw row-major block: the key loop runs d * n times, and
-    // per-element accessor calls (with their bounds asserts) would
-    // dominate it.
-    const double *flat = ds.flatValues().data();
-    std::vector<std::uint64_t> keys(lanes_ * n), words(lanes_ * n),
-        spare_words(lanes_ * n);
-    forEachOnLanes(lanes_, d, [&](std::size_t lane, std::size_t attr) {
-        const std::size_t slot = lane * n;
-        sortRows(flat + attr, d, n, keys.data() + slot, words.data() + slot,
-                 spare_words.data() + slot, cols_[attr].data());
-    });
+    {
+        // Read the raw row-major block: the key loop runs d * n times,
+        // and per-element accessor calls (with their bounds asserts)
+        // would dominate it.
+        const double *flat = ds.flatValues().data();
+        std::vector<std::uint64_t> keys(column_lanes * n),
+            words(column_lanes * n), spare_words(column_lanes * n);
+        forEachOnLanes(column_lanes, d,
+                       [&](std::size_t lane, std::size_t attr) {
+            const std::size_t slot = lane * n;
+            sortRows(flat + attr, d, n, keys.data() + slot,
+                     words.data() + slot, spare_words.data() + slot,
+                     cols_[attr].data());
+        });
+    }
+    scratch_.resize(lanes_ * n);
+    keys_.resize(column_lanes * n);
+    targets_.resize(column_lanes * n);
+    choices_.resize(d);
 }
 
 void
@@ -308,11 +316,10 @@ PresortedColumns::bestSplit(const Dataset &ds, std::size_t lo,
     mtperf_assert(built() && hi <= size() && lo <= hi,
                   "bestSplit over an invalid presorted range");
     const std::size_t n = hi - lo;
-    if (!fansOut(n))
-        return serialBestSplit(ds, lo, hi, min_instances);
-
-    parallelNodes.increment();
-    forEachOnLanes(lanes_, cols_.size(),
+    const bool fan_out = fansOut(n);
+    if (fan_out)
+        parallelNodes.increment();
+    forEachOnLanes(fan_out ? lanes_ : 1, cols_.size(),
                    [&](std::size_t lane, std::size_t attr) {
         gather(ds, lo, hi, attr, lane);
         const std::size_t slot = lane * size();
@@ -520,6 +527,11 @@ checkGrowLimits(const GrowLimits &limits, const std::string &learner)
 std::unique_ptr<TreeNode>
 growTree(const Dataset &ds, const GrowLimits &limits)
 {
+    // A fit that fans out keeps the pool's workers polling from one
+    // node's loops to the next (DESIGN.md §7).
+    std::optional<ThreadPool::WarmScope> warm;
+    if (treeFitLanes(ds) > 1)
+        warm.emplace(globalPool());
     auto root = std::make_unique<TreeNode>();
     root->rows.resize(ds.size());
     std::iota(root->rows.begin(), root->rows.end(), 0);

@@ -191,7 +191,10 @@ class PresortedColumns
     /** True when work over @p rows rows of every column fans out. */
     bool fansOut(std::size_t rows) const;
 
-    /** The serial search: every attribute in order, on lane 0. */
+    /**
+     * The serial search, every attribute in order on lane 0: what
+     * bestSplit() returns when an attribute's winner has a NaN SDR.
+     */
     SplitChoice serialBestSplit(const Dataset &ds, std::size_t lo,
                                 std::size_t hi,
                                 std::size_t min_instances);
@@ -203,8 +206,9 @@ class PresortedColumns
     std::vector<std::vector<std::uint32_t>> cols_;
     std::vector<std::uint32_t> ids_;      //!< row ids, ascending per range
     std::vector<std::uint8_t> goesLeft_;  //!< indexed by row id
-    std::size_t lanes_ = 1;               //!< scratch slots, one per task
-    // Scratch, one n-entry slot per lane.
+    std::size_t lanes_ = 1;               //!< tasks a partition may use
+    // Scratch, one n-entry slot per task: lanes_ spill slots, and
+    // min(lanes_, d) gather slots (a search runs at most d tasks).
     std::vector<std::uint32_t> scratch_;  //!< right-side spill buffers
     std::vector<double> keys_;            //!< gathered attribute values
     std::vector<double> targets_;         //!< gathered target values

@@ -163,6 +163,8 @@ mutate(std::string &text, const std::string &other, Rng &rng)
         return;
     }
     case 6: { // delete a space or newline, or swap a node's kind
+        if (text.empty())
+            return;
         std::vector<std::size_t> positions;
         for (std::size_t i = 0; i < text.size(); ++i) {
             if (text[i] == ' ' || text[i] == '\n')
