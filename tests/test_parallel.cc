@@ -121,6 +121,34 @@ TEST(ThreadPool, WorkersRecordHowLateTheyJoin)
     EXPECT_GE(joins.snapshot().count(), before + 3);
 }
 
+TEST(ThreadPool, LoopsInsideAndAfterNestedWarmScopesRunEveryIndex)
+{
+    // Inside a scope idle workers poll the queue instead of sleeping;
+    // every loop must still run each index once, and a pool whose
+    // scopes have all closed must still wake its workers.
+    ThreadPool pool(4);
+    auto runLoops = [&pool] {
+        for (int loop = 0; loop < 50; ++loop) {
+            std::vector<std::atomic<int>> hits(37);
+            pool.parallelFor(hits.size(),
+                             [&](std::size_t i) { hits[i].fetch_add(1); });
+            for (const auto &h : hits)
+                ASSERT_EQ(h.load(), 1);
+        }
+    };
+    {
+        ThreadPool::WarmScope outer(pool);
+        runLoops();
+        {
+            ThreadPool::WarmScope inner(pool);
+            runLoops();
+        }
+        runLoops();
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    runLoops();
+}
+
 TEST(GlobalPool, SizeFollowsSetGlobalThreadCount)
 {
     ThreadCountGuard guard;
